@@ -44,6 +44,7 @@ from .spectral import (
 from .experiments import (
     DispersiveRecord,
     ScanRecord,
+    clustered_spectrum,
     dispersive_scan,
     eigenfunction_profile,
     scan_supnorms,
@@ -68,6 +69,7 @@ __all__ = [
     "averaging_operator",
     "build_propagator",
     "cluster_eigenvalues",
+    "clustered_spectrum",
     "dispersive_scan",
     "egorov_defect",
     "eigendecompose",

@@ -5,7 +5,9 @@ override config-file values override defaults), writes CSV/JSON to a
 file or stdout, and emits optional SVG plots. Identical configuration
 yields byte-identical output.
 
-Exit codes: 0 success, 1 domain rejection, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 domain rejection, 2 usage error, 3 I/O error,
+4 certification failure (a propagator, eigensystem or clustering check
+exceeded its bound).
 """
 
 from __future__ import annotations
@@ -215,24 +217,11 @@ def cmd_propagator(cfg: RunConfig) -> int:
     return 0
 
 
-def _clustered_spectrum(cfg: RunConfig, n: int) -> spectral.SpectrumReport:
-    A = cfg.matrix()
-    admissibility = arith.require_quantizable(A)
-    record = arith.quantum_period(A, n)
-    prop = quantize.build_propagator(
-        A, n, allow_even=cfg.allow_even_n, unitarity_tol=cfg.tol_unitarity
-    )
-    return spectral.cluster_eigenvalues(
-        spectral.eigendecompose(prop),
-        n=record.n_N,
-        lam=admissibility.lam,
-        tol=cfg.tol_cluster,
-    )
-
-
 def cmd_spectrum(cfg: RunConfig) -> int:
     n = _require_n(cfg)
-    report = _clustered_spectrum(cfg, n)
+    _, report = experiments.clustered_spectrum(
+        cfg.matrix(), n, cfg.tol_cluster, cfg.tol_unitarity, cfg.allow_even_n
+    )
     payload = spectral.report_to_dict(report)
     if cfg.format == "json":
         _write_text(cfg, lambda fh: fh.write(_dump_json(payload)))
@@ -283,7 +272,6 @@ def cmd_scan(cfg: RunConfig) -> int:
         cfg.matrix(),
         cfg.n_min,
         cfg.n_max,
-        odd_only=not cfg.allow_even_n,
         jobs=cfg.jobs,
         cluster_tol=cfg.tol_cluster,
         unitarity_tol=cfg.tol_unitarity,
@@ -456,6 +444,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print("%s: i/o error: %s" % (PROG, exc), file=sys.stderr)
         return 3
+    except experiments.CERTIFICATION_ERRORS as exc:
+        print("%s: certification failed: %s" % (PROG, exc), file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

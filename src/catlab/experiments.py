@@ -9,30 +9,40 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .arith import (
     CatMatrix,
+    PeriodRecord,
     matrix_power,
     period_modulus,
     quantum_period,
     require_quantizable,
 )
-from .quantize import build_propagator
-from .spectral import cluster_eigenvalues, eigendecompose, supnorm_summary
+from .quantize import CertificationError, build_propagator
+from .spectral import (
+    AmbiguousClusterError,
+    ResidualError,
+    SpectrumReport,
+    cluster_eigenvalues,
+    eigendecompose,
+    supnorm_summary,
+)
 
 __all__ = [
     "ScanRecord",
     "DispersiveRecord",
     "BoundCheck",
     "BoundsReport",
+    "CERTIFICATION_ERRORS",
     "SCAN_FIELDS",
     "DISPERSIVE_FIELDS",
     "PROFILE_FIELDS",
     "short_period_set",
+    "clustered_spectrum",
     "scan_supnorms",
     "eigenfunction_profile",
     "dispersive_scan",
@@ -144,68 +154,72 @@ def short_period_set(A: CatMatrix, n_max: int) -> dict[int, int]:
         k += 1
 
 
-def _scan_single(
+def clustered_spectrum(
     A: CatMatrix,
     N: int,
-    lam: float,
-    bdb: dict[int, int],
+    cluster_tol: float = 1e-7,
+    unitarity_tol: float = 1e-9,
+    allow_even: bool = False,
+) -> tuple[PeriodRecord, SpectrumReport]:
+    """The per-N pipeline: quantum period, certified propagator, certified
+    eigensystem, clusters (snapped to the n_N-th roots when the period is
+    short for lambda, else grouped by phase gaps; see cluster_eigenvalues).
+    """
+    lam = require_quantizable(A).lam
+    record = quantum_period(A, N)
+    prop = build_propagator(A, N, allow_even=allow_even, unitarity_tol=unitarity_tol)
+    report = cluster_eigenvalues(
+        eigendecompose(prop), n=record.n_N, lam=lam, tol=cluster_tol
+    )
+    return record, report
+
+
+# Failed certification checks. Sweeps record these and domain rejections
+# (ValueError, which covers LinAlgError) as error rows; bugs propagate.
+CERTIFICATION_ERRORS = (CertificationError, ResidualError, AmbiguousClusterError)
+_ROW_ERRORS = (ValueError, *CERTIFICATION_ERRORS)
+
+
+def _scan_single(
+    A: CatMatrix,
+    blank: ScanRecord,
     cluster_tol: float,
     unitarity_tol: float,
     allow_even: bool,
 ) -> ScanRecord:
-    lower, upper, trivial = _envelopes(N, lam)
-    is_bdb = N in bdb
     try:
-        record = quantum_period(A, N)
-        prop = build_propagator(
-            A, N, allow_even=allow_even, unitarity_tol=unitarity_tol
-        )
-        report = cluster_eigenvalues(
-            eigendecompose(prop), n=record.n_N, lam=lam, tol=cluster_tol
+        record, report = clustered_spectrum(
+            A, blank.N, cluster_tol, unitarity_tol, allow_even
         )
         result = supnorm_summary(report)
-        return ScanRecord(
-            N=N,
-            n_N=record.n_N,
-            max_supnorm=result.value,
-            lower_env=lower,
-            upper_env=upper,
-            trivial_lb=trivial,
-            is_bdb=is_bdb,
-            witness_index=result.witness_index,
-            cluster_dim=result.cluster_dim,
-        )
-    except Exception as exc:  # error rows instead of aborting the sweep
-        return ScanRecord(
-            N=N,
-            n_N=None,
-            max_supnorm=None,
-            lower_env=lower,
-            upper_env=upper,
-            trivial_lb=trivial,
-            is_bdb=is_bdb,
-            witness_index=None,
-            cluster_dim=None,
-            error=str(exc),
-        )
+    except _ROW_ERRORS as exc:
+        return replace(blank, error=str(exc))
+    return replace(
+        blank,
+        n_N=record.n_N,
+        max_supnorm=result.value,
+        witness_index=result.witness_index,
+        cluster_dim=result.cluster_dim,
+    )
 
 
 def scan_supnorms(
     A: CatMatrix,
     n_min: int,
     n_max: int,
-    odd_only: bool = True,
     jobs: int = 1,
     cluster_tol: float = 1e-7,
     unitarity_tol: float = 1e-9,
     allow_even: bool = False,
 ) -> list[ScanRecord]:
-    """Sup-norm sweep over N in [n_min, n_max], odd N only by default.
+    """Sup-norm sweep over N in [n_min, n_max]: odd N, or every N with
+    allow_even.
 
-    One record per N, ordered by N; per-N failures become error rows.
-    jobs > 1 distributes the per-N work over a thread pool (the heavy
-    lifting happens inside LAPACK, which releases the GIL); results are
-    merged in N order, so the output is independent of jobs.
+    One record per N, ordered by N; domain and certification failures
+    of one N become error rows. jobs > 1 distributes the per-N work over
+    a thread pool and merges results in N order, so the output is
+    independent of jobs. The threads give no speedup today: the Schur
+    eigensolver holds the GIL.
     """
     report = require_quantizable(A)
     if A.b == 0:
@@ -219,11 +233,12 @@ def scan_supnorms(
     if jobs < 1:
         raise ValueError("jobs must be positive")
     lam = report.lam
-    values = [N for N in range(n_min, n_max + 1) if (N % 2 == 1 or not odd_only)]
+    values = [N for N in range(n_min, n_max + 1) if N % 2 == 1 or allow_even]
     bdb = short_period_set(A, n_max)
 
     def work(N: int) -> ScanRecord:
-        return _scan_single(A, N, lam, bdb, cluster_tol, unitarity_tol, allow_even)
+        blank = ScanRecord(N, None, None, *_envelopes(N, lam), N in bdb, None, None)
+        return _scan_single(A, blank, cluster_tol, unitarity_tol, allow_even)
 
     if jobs == 1 or len(values) <= 1:
         return [work(N) for N in values]
@@ -239,13 +254,8 @@ def eigenfunction_profile(
     allow_even: bool = False,
 ) -> np.ndarray:
     """Coordinate moduli |u_i| of a maximal-sup-norm witness eigenfunction."""
-    report = require_quantizable(A)
-    record = quantum_period(A, N)
-    prop = build_propagator(A, N, allow_even=allow_even, unitarity_tol=unitarity_tol)
-    spectrum = cluster_eigenvalues(
-        eigendecompose(prop), n=record.n_N, lam=report.lam, tol=cluster_tol
-    )
-    result = supnorm_summary(spectrum)
+    _, report = clustered_spectrum(A, N, cluster_tol, unitarity_tol, allow_even)
+    result = supnorm_summary(report)
     profile = np.abs(result.witness)
     total = float(np.sum(profile**2))
     if abs(total - 1.0) > 1e-10:
@@ -266,15 +276,16 @@ def dispersive_scan(
     check at every step (a drift violation aborts that N with an error
     row and moves on). The comparison bound sqrt(|b_j|/N) comes from the
     exact integer power of the map, keeping the two sides of the check
-    independent.
+    independent. Every N is validated before any propagator is built.
     """
     require_quantizable(A)
     if j_max < 1:
         raise ValueError("j_max must be positive, got %d" % j_max)
-    records: list[DispersiveRecord] = []
     for N in N_list:
         if N % 2 == 0:
             raise ValueError("dispersive scan expects odd N, got %d" % N)
+    records: list[DispersiveRecord] = []
+    for N in N_list:
         prop = build_propagator(A, N, unitarity_tol=unitarity_tol)
         identity = np.eye(N)
         power = prop.entries

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# Certification bounds: eigenpair residual (times sqrt(N)), scalar M^n.
+RESIDUAL_TOL = 1e-8
+SCALAR_TOL = 1e-7
 
 
 class ResidualError(RuntimeError):
@@ -118,15 +121,13 @@ def _as_matrix(M: Propagator | np.ndarray) -> tuple[np.ndarray, int]:
     return matrix, matrix.shape[0]
 
 
-def eigendecompose(
-    M: Propagator | np.ndarray, residual_tol: float = 1e-8
-) -> SpectrumReport:
+def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     """Full eigensystem of a unitary with residual certification.
 
     Uses the complex Schur form, whose basis is orthonormal by
     construction; for a unitary input the Schur factor is diagonal to
     machine precision, so its columns are eigenvectors. Raises
-    ResidualError when per-pair residuals exceed residual_tol*sqrt(N) or
+    ResidualError when per-pair residuals exceed RESIDUAL_TOL*sqrt(N) or
     any eigenvalue modulus strays from 1 by more than 1e-8; scipy's
     LinAlgError propagates on solver non-convergence.
     """
@@ -140,10 +141,10 @@ def eigendecompose(
 
     residuals = np.linalg.norm(matrix @ vectors - vectors * values[None, :], axis=0)
     worst = float(residuals.max()) if n else 0.0
-    if worst > residual_tol * math.sqrt(n):
+    if worst > RESIDUAL_TOL * math.sqrt(n):
         raise ResidualError(
             "eigenpair residual %.3e exceeds %.3e"
-            % (worst, residual_tol * math.sqrt(n))
+            % (worst, RESIDUAL_TOL * math.sqrt(n))
         )
     moduli = np.abs(values)
     if moduli.size and (moduli.max() > 1 + 1e-8 or moduli.min() < 1 - 1e-8):
@@ -162,13 +163,11 @@ def _circular_distance(x: np.ndarray | float, y: float) -> np.ndarray | float:
     return np.minimum(d, TWO_PI - d)
 
 
-def _snap_clusters(
-    report: SpectrumReport, n: int, tol: float, scalar_tol: float
-) -> SpectrumReport:
+def _snap_clusters(report: SpectrumReport, n: int, tol: float) -> SpectrumReport:
     power = np.linalg.matrix_power(report.matrix, n)
     scalar = power[0, 0]
     off = float(np.abs(power - scalar * np.eye(report.N)).max())
-    if off > scalar_tol or abs(abs(scalar) - 1) > scalar_tol:
+    if off > SCALAR_TOL or abs(abs(scalar) - 1) > SCALAR_TOL:
         raise ResidualError(
             "matrix power %d is not scalar (residual %.3e); wrong period?" % (n, off)
         )
@@ -223,7 +222,6 @@ def cluster_eigenvalues(
     n: int | None = None,
     lam: float | None = None,
     tol: float = 1e-7,
-    scalar_tol: float = 1e-7,
 ) -> SpectrumReport:
     """Group the eigenvalues of a report into eigenspace clusters.
 
@@ -246,19 +244,20 @@ def cluster_eigenvalues(
         and report.N > 1
         and n <= 2 * math.log(report.N, lam) + 1 + 1e-12
     ):
-        return _snap_clusters(report, n, tol, scalar_tol)
+        return _snap_clusters(report, n, tol)
     if n == 1:
         # scalar matrix regardless of lam knowledge
-        return _snap_clusters(report, 1, tol, scalar_tol)
+        return _snap_clusters(report, 1, tol)
     return _gap_clusters(report, tol)
 
 
 def projector(report: SpectrumReport, cluster_id: int) -> EigenspaceProjector:
     """Orthogonal projector onto the eigenspace of one cluster.
 
-    Member eigenvectors are re-orthonormalized (QR) before assembly so
-    the projector is exactly Hermitian idempotent even when the solver
-    returned slightly non-orthogonal vectors inside a degenerate cluster.
+    Member eigenvectors are re-orthonormalized (QR). Schur vectors are
+    orthonormal to ~1e-14 already, but the QR moves the last bits of the
+    row norms and so decides which of several clusters with equal sup
+    norms supnorm_summary reports (three at N=65 for the map (2,3,1,2)).
     """
     cluster = report.clusters[cluster_id]
     if cluster.dim == 0:
@@ -288,6 +287,11 @@ def extremal_supnorm(proj: EigenspaceProjector) -> tuple[float, int, np.ndarray]
     return value, index, witness
 
 
+def _cluster_extremals(report: SpectrumReport) -> list[tuple[float, int, np.ndarray]]:
+    """extremal_supnorm of every cluster, in cluster order."""
+    return [extremal_supnorm(projector(report, c)) for c in range(len(report.clusters))]
+
+
 def supnorm_summary(report: SpectrumReport) -> SupnormResult:
     """Maximum extremal sup norm over all clusters of a clustered report.
 
@@ -297,19 +301,16 @@ def supnorm_summary(report: SpectrumReport) -> SupnormResult:
     """
     if not report.clusters:
         raise ValueError("report has no clusters; run cluster_eigenvalues first")
-    best: SupnormResult | None = None
-    for cid in range(len(report.clusters)):
-        value, index, witness = extremal_supnorm(projector(report, cid))
-        if best is None or value > best.value:
-            best = SupnormResult(
-                value=value,
-                cluster_id=cid,
-                witness_index=index,
-                witness=witness,
-                cluster_dim=report.clusters[cid].dim,
-            )
-    assert best is not None
-    return best
+    extremals = _cluster_extremals(report)
+    cid = max(range(len(extremals)), key=lambda c: extremals[c][0])
+    value, index, witness = extremals[cid]
+    return SupnormResult(
+        value=value,
+        cluster_id=cid,
+        witness_index=index,
+        witness=witness,
+        cluster_dim=report.clusters[cid].dim,
+    )
 
 
 def max_supnorm(
@@ -363,17 +364,9 @@ def averaging_operator(
     return accum / T
 
 
-def _cluster_supnorms(report: SpectrumReport) -> list[float]:
-    values = []
-    for cid in range(len(report.clusters)):
-        value, _, _ = extremal_supnorm(projector(report, cid))
-        values.append(value)
-    return values
-
-
 def report_to_dict(report: SpectrumReport) -> dict:
     """JSON-ready view of a clustered spectrum report."""
-    supnorms = _cluster_supnorms(report)
+    extremals = _cluster_extremals(report)
     return {
         "N": report.N,
         "eigenvalues": [[float(v.real), float(v.imag)] for v in report.eigenvalues],
@@ -382,7 +375,7 @@ def report_to_dict(report: SpectrumReport) -> dict:
                 "phase": cluster.phase,
                 "indices": list(cluster.indices),
                 "dim": cluster.dim,
-                "supnorm": supnorms[cid],
+                "supnorm": extremals[cid][0],
             }
             for cid, cluster in enumerate(report.clusters)
         ],

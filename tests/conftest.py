@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from catlab.arith import CatMatrix, quantum_period, validate_catmap
-from catlab.quantize import build_propagator
-from catlab.spectral import cluster_eigenvalues, eigendecompose, supnorm_summary
+from catlab.arith import CatMatrix, validate_catmap
+from catlab.experiments import clustered_spectrum
+from catlab.spectral import supnorm_summary
 
 SWEEP_MAP = CatMatrix(2, 3, 1, 2)
 SWEEP_LAM = validate_catmap(2, 3, 1, 2).lam
@@ -37,18 +37,15 @@ class SurrogateSweep:
 def _surrogate_point(N: int) -> SurrogatePoint:
     """Sup norm of one modulus plus the averaged-power bound on every
     eigenpair at window T = ceil(0.75 * log_lam N)."""
-    record = quantum_period(SWEEP_MAP, N)
-    prop = build_propagator(SWEEP_MAP, N)
-    report = eigendecompose(prop)
-    clustered = cluster_eigenvalues(report, n=record.n_N, lam=SWEEP_LAM)
-    value = supnorm_summary(clustered).value
+    _, report = clustered_spectrum(SWEEP_MAP, N)
+    value = supnorm_summary(report).value
 
     # Powers come from repeated multiplication; row norms of the
     # averaging operator B = (1/T) sum mu^-t M^t follow from
     # ||B[i,:]||^2 = (B B*)_ii = (1/T^2) sum_{t,s} mu^{s-t} D[t,s,i]
     # with D[t,s,i] = sum_j M^t[i,j] conj(M^s[i,j]).
     T = math.ceil(0.75 * math.log(N, SWEEP_LAM))
-    matrix = prop.entries
+    matrix = report.matrix
     powers = np.empty((T, N, N), dtype=np.complex128)
     acc = np.eye(N, dtype=np.complex128)
     for t in range(T):

@@ -141,6 +141,13 @@ class TestSpectrum:
         assert lines[0] == "index,re,im,phase,cluster,residual"
         assert len(lines) == 6
 
+    def test_certification_failure_exit_code(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--n", "31", "--tol-unitarity", "1e-30")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("catlab: certification failed: unitarity residual")
+        assert len(err.splitlines()) == 1
+
 
 class TestScanCommand:
     def test_csv_and_svg_deterministic(self, capsys, tmp_path):

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from catlab import experiments
 from catlab.arith import CatMatrix, matrix_power, quantum_period, validate_catmap
 from catlab.experiments import (
     DISPERSIVE_FIELDS,
     SCAN_FIELDS,
     ScanRecord,
+    clustered_spectrum,
     dispersive_scan,
     eigenfunction_profile,
     read_scan_csv,
@@ -22,6 +24,13 @@ from catlab.experiments import (
     write_profile_csv,
     write_scan_csv,
 )
+from catlab.quantize import build_propagator
+from catlab.spectral import (
+    cluster_eigenvalues,
+    eigendecompose,
+    report_to_dict,
+    supnorm_summary,
+)
 
 A = CatMatrix(2, 3, 1, 2)
 LAM = validate_catmap(2, 3, 1, 2).lam
@@ -30,6 +39,43 @@ LAM = validate_catmap(2, 3, 1, 2).lam
 @pytest.fixture(scope="module")
 def records_3_31():
     return scan_supnorms(A, 3, 31)
+
+
+class TestClusteredSpectrum:
+    @pytest.mark.parametrize("N, snapped", [(71, True), (73, False)])
+    def test_matches_stage_composition(self, N, snapped):
+        # 71 is a short-period modulus (n_N = 7, snap clustering); 73 has
+        # n_N = 36 > 2*log_lambda(73) + 1, so its clusters come from gaps
+        record, report = clustered_spectrum(A, N)
+        assert record == quantum_period(A, N)
+        expected = cluster_eigenvalues(
+            eigendecompose(build_propagator(A, N)), n=record.n_N, lam=LAM
+        )
+        assert (report.global_phase is not None) is snapped
+        if snapped:
+            phase = pytest.approx(expected.global_phase, abs=1e-12)
+            assert report.global_phase == phase
+        else:
+            assert expected.global_phase is None
+        assert [c.indices for c in report.clusters] == [
+            c.indices for c in expected.clusters
+        ]
+        np.testing.assert_allclose(
+            [c.phase for c in report.clusters],
+            [c.phase for c in expected.clusters],
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            report.eigenvalues, expected.eigenvalues, atol=1e-12
+        )
+
+        summary = supnorm_summary(report)
+        expected_value = supnorm_summary(expected).value
+        assert summary.value == pytest.approx(expected_value, abs=1e-12)
+        supnorms = [c["supnorm"] for c in report_to_dict(report)["clusters"]]
+        assert len(supnorms) == len(report.clusters)
+        assert max(supnorms) == supnorms[summary.cluster_id] == summary.value
+        assert supnorms.index(summary.value) == summary.cluster_id
 
 
 class TestShortPeriodSet:
@@ -79,15 +125,23 @@ class TestScan:
             if r.is_bdb:
                 assert r.max_supnorm >= (2 * math.log(r.N, LAM) + 1) ** -0.5 - 1e-9
 
-    def test_even_dimension_error_row(self):
-        records = scan_supnorms(A, 4, 4, odd_only=False)
+    def test_certification_failure_error_row(self):
+        records = scan_supnorms(A, 5, 5, unitarity_tol=1e-30)
         assert len(records) == 1
-        assert records[0].error is not None
+        assert "unitarity residual" in records[0].error
         assert records[0].max_supnorm is None
-        assert records[0].N == 4
+        assert records[0].N == 5
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a stage")
+
+        monkeypatch.setattr(experiments, "build_propagator", broken)
+        with pytest.raises(TypeError, match="bug in a stage"):
+            scan_supnorms(A, 5, 7)
 
     def test_even_dimension_with_override(self):
-        records = scan_supnorms(A, 4, 4, odd_only=False, allow_even=True)
+        records = scan_supnorms(A, 4, 4, allow_even=True)
         assert records[0].error is None
         assert records[0].n_N == quantum_period(A, 4).n_N
 
@@ -143,6 +197,14 @@ class TestDispersive:
             dispersive_scan(A, [4], 5)
         with pytest.raises(ValueError):
             dispersive_scan(A, [5], 0)
+
+    def test_validates_every_n_before_building(self, monkeypatch):
+        def unexpected_build(*args, **kwargs):
+            raise AssertionError("built a propagator before validating every N")
+
+        monkeypatch.setattr(experiments, "build_propagator", unexpected_build)
+        with pytest.raises(ValueError, match="odd N, got 4"):
+            dispersive_scan(A, [401, 4], 40)
 
 
 class TestVerifyBounds:
@@ -222,7 +284,7 @@ class TestSerialization:
         assert parsed == list(records_3_31)
 
     def test_error_row_round_trip(self):
-        records = scan_supnorms(A, 4, 4, odd_only=False)
+        records = scan_supnorms(A, 5, 5, unitarity_tol=1e-30)
         fh = io.StringIO()
         write_scan_csv(records, fh)
         fh.seek(0)

@@ -159,6 +159,8 @@ class TestProjectors:
             assert np.abs(P @ P - P).max() <= 1e-9 * n
             assert np.abs(P.conj().T - P).max() <= 1e-12 * n
             assert np.trace(P).real == pytest.approx(cluster.dim, abs=1e-8)
+            gram = proj.basis.conj().T @ proj.basis
+            assert np.abs(gram - np.eye(cluster.dim)).max() <= 1e-12
 
     def test_full_space_projector(self):
         report = cluster_eigenvalues(eigendecompose(np.eye(4)), n=1)
