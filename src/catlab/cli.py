@@ -388,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="allow_even_n",
         help="allow even dimensions (exploration only)",
     )
-    common.add_argument("--jobs", type=int, help="worker threads for scans")
+    common.add_argument(
+        "--jobs", type=int, help="worker processes for scans, one BLAS thread each"
+    )
 
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -451,3 +453,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -8,9 +8,12 @@ error rows rather than aborting a sweep.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from functools import partial
+from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,6 +46,7 @@ __all__ = [
     "PROFILE_FIELDS",
     "short_period_set",
     "clustered_spectrum",
+    "process_map",
     "scan_supnorms",
     "eigenfunction_profile",
     "dispersive_scan",
@@ -174,6 +178,45 @@ def clustered_spectrum(
     return record, report
 
 
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+# BLAS thread counts for pool workers: one each, so jobs workers use
+# jobs cores instead of oversubscribing them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[_R]:
+    """list(map(fn, items)), on `jobs` worker processes when jobs > 1.
+
+    Workers are spawned, not forked, with OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS and MKL_NUM_THREADS set to 1: BLAS reads these only
+    when it loads, so they must be in the environment a worker starts
+    with. os.environ carries them only
+    while the pool starts its workers and is restored afterwards. fn and
+    the items must pickle (a module-level function or a partial of one).
+    Results come back in item order; an exception raised by fn
+    propagates. jobs == 1 runs in this process.
+    """
+    items = list(items)
+    if jobs == 1 or len(items) <= 1:
+        return list(map(fn, items))
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)), mp_context=context) as pool:
+        try:
+            os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+            # map submits every item at once, which starts every worker
+            results = pool.map(fn, items)
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+        return list(results)
+
+
 # Failed certification checks. Sweeps record these and domain rejections
 # (ValueError, which covers LinAlgError) as error rows; bugs propagate.
 CERTIFICATION_ERRORS = (CertificationError, ResidualError, AmbiguousClusterError)
@@ -217,9 +260,12 @@ def scan_supnorms(
 
     One record per N, ordered by N; domain and certification failures
     of one N become error rows. jobs > 1 distributes the per-N work over
-    a thread pool and merges results in N order, so the output is
-    independent of jobs. The threads give no speedup today: the Schur
-    eigensolver holds the GIL.
+    that many worker processes with one BLAS thread each (process_map)
+    and keeps N order. The records are independent of jobs when BLAS
+    runs one thread in this process too. With a multi-threaded BLAS,
+    jobs 1 can differ in the last bits, and so at exact ties in
+    cluster_dim and witness_index (seen at N = 65, 165 and 195 over
+    3..301 for the map (2,3,1,2)).
     """
     report = require_quantizable(A)
     if A.b == 0:
@@ -236,14 +282,18 @@ def scan_supnorms(
     values = [N for N in range(n_min, n_max + 1) if N % 2 == 1 or allow_even]
     bdb = short_period_set(A, n_max)
 
-    def work(N: int) -> ScanRecord:
-        blank = ScanRecord(N, None, None, *_envelopes(N, lam), N in bdb, None, None)
-        return _scan_single(A, blank, cluster_tol, unitarity_tol, allow_even)
-
-    if jobs == 1 or len(values) <= 1:
-        return [work(N) for N in values]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, values))
+    blanks = [
+        ScanRecord(N, None, None, *_envelopes(N, lam), N in bdb, None, None)
+        for N in values
+    ]
+    work = partial(
+        _scan_single,
+        A,
+        cluster_tol=cluster_tol,
+        unitarity_tol=unitarity_tol,
+        allow_even=allow_even,
+    )
+    return process_map(work, blanks, jobs)
 
 
 def eigenfunction_profile(

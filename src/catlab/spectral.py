@@ -52,7 +52,8 @@ class ResidualError(RuntimeError):
 
 
 class AmbiguousClusterError(RuntimeError):
-    """An eigenvalue sits too close to two different cluster representatives."""
+    """An eigenvalue sits too close to two different cluster representatives,
+    or farther than the tolerance from the nearest one."""
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,11 @@ def _snap_clusters(report: SpectrumReport, n: int, tol: float) -> SpectrumReport
         if runner_up < 2 * tol:
             raise AmbiguousClusterError(
                 "eigenvalue %d within 2*tol of two period-%d roots" % (i, n)
+            )
+        if dist[nearest] > tol:
+            raise AmbiguousClusterError(
+                "N=%d: eigenvalue %d lies %.3e from its nearest period-%d root"
+                " (tol %.3e)" % (report.N, i, dist[nearest], n, tol)
             )
         members.setdefault(nearest, []).append(i)
 

@@ -1,17 +1,22 @@
 """Shared heavy artifacts: the upper-bound surrogate sweep is computed
 once per session and consumed by both the module-invariant test and the
-acceptance criterion."""
+acceptance criterion. Also a runner for `python -m catlab.cli` in a fresh
+interpreter."""
 
 import math
+import os
+import subprocess
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catlab
 from catlab.arith import CatMatrix, validate_catmap
-from catlab.experiments import clustered_spectrum
+from catlab.experiments import clustered_spectrum, process_map
 from catlab.spectral import supnorm_summary
 
 SWEEP_MAP = CatMatrix(2, 3, 1, 2)
@@ -81,8 +86,27 @@ def _surrogate_point(N: int) -> SurrogatePoint:
 def upper_surrogate_sweep() -> SurrogateSweep:
     values = list(range(51, 602, 2))
     start = time.monotonic()
-    with ThreadPoolExecutor(max_workers=SWEEP_WORKERS) as pool:
-        points = tuple(pool.map(_surrogate_point, values))
+    points = tuple(process_map(_surrogate_point, values, SWEEP_WORKERS))
     return SurrogateSweep(
         points=points, elapsed=time.monotonic() - start, workers=SWEEP_WORKERS
     )
+
+
+@pytest.fixture
+def run_cli_module():
+    """run(*argv, **env) runs `python -m catlab.cli *argv` in a fresh
+    interpreter that imports this catlab, with env added to the
+    environment, and returns the CompletedProcess (text output)."""
+    src = str(Path(catlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(*argv: str, **env: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "catlab.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path, **env},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    return run

@@ -148,6 +148,12 @@ class TestSpectrum:
         assert err.startswith("catlab: certification failed: unitarity residual")
         assert len(err.splitlines()) == 1
 
+    def test_module_entry_point_exit_code(self, run_cli_module):
+        done = run_cli_module("spectrum", "--n", "31", "--tol-unitarity", "1e-30")
+        assert done.returncode == 4
+        assert done.stdout == ""
+        assert done.stderr.startswith("catlab: certification failed: unitarity residual")
+
 
 class TestScanCommand:
     def test_csv_and_svg_deterministic(self, capsys, tmp_path):

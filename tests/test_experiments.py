@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -139,6 +140,39 @@ class TestScan:
         monkeypatch.setattr(experiments, "build_propagator", broken)
         with pytest.raises(TypeError, match="bug in a stage"):
             scan_supnorms(A, 5, 7)
+
+    def test_worker_certification_failure_error_row(self):
+        records = scan_supnorms(A, 5, 7, jobs=2, unitarity_tol=1e-30)
+        assert [r.N for r in records] == [5, 7]
+        assert all("unitarity residual" in r.error for r in records)
+        assert all(r.max_supnorm is None for r in records)
+
+    def test_worker_programming_error_propagates(self):
+        # a string tolerance fails the comparison inside the worker; a
+        # monkeypatched stage would not reach a spawned worker
+        with pytest.raises(TypeError):
+            scan_supnorms(A, 5, 7, jobs=2, cluster_tol="bad")
+
+    def test_jobs_leave_environment_unchanged(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        scan_supnorms(A, 3, 9, jobs=2)
+        assert dict(os.environ) == before
+
+    def test_jobs_give_identical_csv(self, run_cli_module):
+        # 65 is a point where clusters of different dimension tie in
+        # sup norm, so the CSV pins which one the rounding picks
+        outputs = []
+        for jobs in ("1", "2"):
+            done = run_cli_module(
+                "scan", "--n-min", "3", "--n-max", "65", "--jobs", jobs,
+                OPENBLAS_NUM_THREADS="1",
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + len(range(3, 66, 2))
 
     def test_even_dimension_with_override(self):
         records = scan_supnorms(A, 4, 4, allow_even=True)

@@ -1,6 +1,7 @@
 """Spectral module tests: certified eigensystems, clustering, sup norms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,15 @@ class TestClustering:
         report = synthetic_report(values)
         with pytest.raises(AmbiguousClusterError):
             cluster_eigenvalues(report, n=3, lam=1.01, tol=1.1)
+
+    def test_snap_rejects_eigenvalue_off_its_root(self, prop5):
+        tol = 1e-7
+        report = eigendecompose(prop5)
+        values = report.eigenvalues.copy()
+        values[2] *= np.exp(10j * tol)
+        perturbed = replace(report, eigenvalues=values)
+        with pytest.raises(AmbiguousClusterError, match="N=5: eigenvalue 2 lies 1.000e-06"):
+            cluster_eigenvalues(perturbed, n=3, lam=LAM, tol=tol)
 
     def test_snap_rejects_wrong_period(self, prop5):
         report = eigendecompose(prop5)
