@@ -29,13 +29,11 @@ from .quantize import (
     translation_matrix,
 )
 from .spectral import (
-    EigenspaceProjector,
     SpectrumReport,
     averaging_operator,
     cluster_eigenvalues,
     eigendecompose,
     extremal_supnorm,
-    max_supnorm,
     op_norm_1_inf,
     op_norm_2_inf,
     projector,
@@ -58,7 +56,6 @@ __all__ = [
     "AdmissibilityReport",
     "CatMatrix",
     "DispersiveRecord",
-    "EigenspaceProjector",
     "LatticeTranslation",
     "ParityRule",
     "PeriodRecord",
@@ -77,7 +74,6 @@ __all__ = [
     "extremal_supnorm",
     "matrix_order_mod",
     "matrix_power",
-    "max_supnorm",
     "op_norm_1_inf",
     "op_norm_2_inf",
     "p_sequence",

@@ -279,6 +279,8 @@ def quantum_period(A: CatMatrix, N: int) -> PeriodRecord:
 # Above this power, skip the (cheap but not free) big-integer congruence
 # re-verification inside period_modulus.
 _VERIFY_CAP = 512
+# short_period_sequence re-checks moduli up to this bound with quantum_period.
+_VERIFY_BELOW = 10**6
 
 
 def period_modulus(A: CatMatrix, k: int) -> int:
@@ -303,14 +305,12 @@ def period_modulus(A: CatMatrix, k: int) -> int:
     return modulus
 
 
-def short_period_sequence(
-    A: CatMatrix, count: int, verify_below: int = 10**6
-) -> list[tuple[int, int]]:
+def short_period_sequence(A: CatMatrix, count: int) -> list[tuple[int, int]]:
     """First `count` pairs (N_k, t_k) of odd moduli with short quantum period.
 
     N_k is the odd-index modulus p_k + p_{k+1} and t_k = 2k + 1 its
     quantum period, which satisfies t_k <= 2*log_lambda(N_k) + 1. Pairs
-    with N_k below `verify_below` are re-verified against the full
+    with N_k up to _VERIFY_BELOW are re-verified against the full
     order-plus-parity computation of quantum_period.
     """
     if count < 1:
@@ -327,7 +327,7 @@ def short_period_sequence(
             raise AssertionError(
                 "period bound violated at k=%d: modulus %d" % (k, modulus)
             )
-        if modulus <= verify_below:
+        if modulus <= _VERIFY_BELOW:
             record = quantum_period(A, modulus)
             if record.n_N != period:
                 raise AssertionError(

@@ -28,6 +28,26 @@ class UsageError(Exception):
     """Malformed flags or configuration; maps to exit code 2."""
 
 
+# Python types a config value may have for each annotation name; a float
+# field takes an int, and no int field takes a bool.
+_CONFIG_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "bool": (bool,),
+    "None": (type(None),),
+}
+
+
+def _check_config_value(field: dataclasses.Field, value):
+    allowed = tuple(t for name in field.type.split(" | ") for t in _CONFIG_TYPES[name])
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        raise UsageError(
+            "config key %s must be %s, got %s" % (field.name, field.type, json.dumps(value))
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Merged configuration for one command invocation.
@@ -60,14 +80,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise UsageError("unknown config keys: %s" % ", ".join(unknown))
-        return cls(**data).validated()
+        return cls.from_sources({}, data)
 
     @classmethod
     def from_sources(cls, cli: dict, config: dict) -> "RunConfig":
+        """Flags (None when not given) over config values over defaults.
+
+        Config values must match their field's type, else UsageError.
+        """
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(config) - known)
         if unknown:
@@ -77,8 +97,8 @@ class RunConfig:
             cli_value = cli.get(field.name)
             if cli_value is not None:
                 values[field.name] = cli_value
-            elif field.name in config and config[field.name] is not None:
-                values[field.name] = config[field.name]
+            elif field.name in config:
+                values[field.name] = _check_config_value(field, config[field.name])
         return cls(**values).validated()
 
     def validated(self) -> "RunConfig":
@@ -267,8 +287,8 @@ def _warn_errors(records) -> None:
         )
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    records = experiments.scan_supnorms(
+def _scan(cfg: RunConfig) -> list[experiments.ScanRecord]:
+    return experiments.scan_supnorms(
         cfg.matrix(),
         cfg.n_min,
         cfg.n_max,
@@ -277,6 +297,10 @@ def cmd_scan(cfg: RunConfig) -> int:
         unitarity_tol=cfg.tol_unitarity,
         allow_even=cfg.allow_even_n,
     )
+
+
+def cmd_scan(cfg: RunConfig) -> int:
+    records = _scan(cfg)
     _emit_records(
         cfg, records, experiments.write_scan_csv, experiments.scan_records_to_json
     )
@@ -325,32 +349,20 @@ def cmd_verify(cfg: RunConfig) -> int:
         with open(cfg.records, "r", encoding="utf-8") as fh:
             records = experiments.read_scan_csv(fh)
     else:
-        records = experiments.scan_supnorms(
-            cfg.matrix(),
-            cfg.n_min,
-            cfg.n_max,
-            jobs=cfg.jobs,
-            cluster_tol=cfg.tol_cluster,
-            unitarity_tol=cfg.tol_unitarity,
-        )
+        records = _scan(cfg)
     report = experiments.verify_bounds(records, eps=cfg.epsilon)
     if cfg.format == "json":
         _write_text(cfg, lambda fh: fh.write(_dump_json(report.to_dict())))
     else:
         def render(fh):
             fh.write("bound,N,value,threshold,ok\n")
-            for check in report.lower:
-                fh.write(
-                    "lower,%d,%s,%s,%s\n"
-                    % (check.N, repr(check.value), repr(check.threshold),
-                       "true" if check.ok else "false")
-                )
-            for check in report.upper:
-                fh.write(
-                    "upper,%d,%s,%s,%s\n"
-                    % (check.N, repr(check.value), repr(check.threshold),
-                       "true" if check.ok else "false")
-                )
+            for bound, checks in (("lower", report.lower), ("upper", report.upper)):
+                for check in checks:
+                    fh.write(
+                        "%s,%d,%s,%s,%s\n"
+                        % (bound, check.N, repr(check.value), repr(check.threshold),
+                           "true" if check.ok else "false")
+                    )
 
         _write_text(cfg, render)
     return 0
@@ -436,6 +448,8 @@ def main(argv: list[str] | None = None) -> int:
             if key not in ("command", "config")
         }
         cfg = RunConfig.from_sources(cli_values, config)
+        if cfg.format == "binary" and args.command != "propagator":
+            raise UsageError("format binary applies only to propagator")
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print("%s: usage error: %s" % (PROG, exc), file=sys.stderr)

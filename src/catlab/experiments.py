@@ -32,6 +32,7 @@ from .spectral import (
     SpectrumReport,
     cluster_eigenvalues,
     eigendecompose,
+    op_norm_1_inf,
     supnorm_summary,
 )
 
@@ -364,7 +365,7 @@ def dispersive_scan(
                 DispersiveRecord(
                     N=N,
                     j=j,
-                    norm_1_inf=float(np.abs(power).max()),
+                    norm_1_inf=op_norm_1_inf(power),
                     bound=bound,
                 )
             )

@@ -27,14 +27,12 @@ __all__ = [
     "AmbiguousClusterError",
     "EigenCluster",
     "SpectrumReport",
-    "EigenspaceProjector",
     "SupnormResult",
     "eigendecompose",
     "cluster_eigenvalues",
     "projector",
     "extremal_supnorm",
     "supnorm_summary",
-    "max_supnorm",
     "op_norm_1_inf",
     "op_norm_2_inf",
     "averaging_operator",
@@ -86,23 +84,6 @@ class SpectrumReport:
     residuals: np.ndarray
     clusters: tuple[EigenCluster, ...] = ()
     global_phase: float | None = None
-
-
-@dataclass(frozen=True)
-class EigenspaceProjector:
-    """Orthogonal projector onto one eigenvalue cluster's eigenspace.
-
-    Stored through an orthonormal basis (columns of `basis`); the dense
-    Hermitian idempotent matrix is materialized on demand.
-    """
-
-    cluster_id: int
-    N: int
-    dimension: int
-    basis: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
 
 class SupnormResult(NamedTuple):
@@ -257,45 +238,39 @@ def cluster_eigenvalues(
     return _gap_clusters(report, tol)
 
 
-def projector(report: SpectrumReport, cluster_id: int) -> EigenspaceProjector:
-    """Orthogonal projector onto the eigenspace of one cluster.
+def projector(report: SpectrumReport, cluster_id: int) -> np.ndarray:
+    """Orthonormal basis (columns) of one cluster's eigenspace.
 
+    The orthogonal projector onto the eigenspace is basis @ basis^H.
     Member eigenvectors are re-orthonormalized (QR). Schur vectors are
     orthonormal to ~1e-14 already, but the QR moves the last bits of the
     row norms and so decides which of several clusters with equal sup
-    norms supnorm_summary reports (three at N=65 for the map (2,3,1,2)).
+    norms supnorm_summary reports (N = 15, 39, 65, 165, 195 over 3..201
+    for the maps (2,3,1,2), (2,-3,-1,2), (8,3,-11,-4), (-4,3,-11,8)).
     """
     cluster = report.clusters[cluster_id]
     if cluster.dim == 0:
         raise ValueError("cluster %d is empty" % cluster_id)
-    vectors = report.eigenvectors[:, list(cluster.indices)]
-    basis, _ = np.linalg.qr(vectors)
-    return EigenspaceProjector(
-        cluster_id=cluster_id, N=report.N, dimension=cluster.dim, basis=basis
-    )
+    basis, _ = np.linalg.qr(report.eigenvectors[:, list(cluster.indices)])
+    return basis
 
 
-def extremal_supnorm(proj: EigenspaceProjector) -> tuple[float, int, np.ndarray]:
+def extremal_supnorm(basis: np.ndarray) -> tuple[float, int, np.ndarray]:
     """Largest sup norm over l2-normalized vectors of the eigenspace.
 
+    basis holds an orthonormal basis of the eigenspace in its columns.
     Returns (value, witness_index, witness): value = max_j ||P e_j||,
-    computed as the largest row norm of the orthonormal basis, and the
-    witness P e_j* / ||P e_j*|| attains it. Always >= sqrt(dim/N) by the
-    trace pigeonhole.
+    computed as the largest row norm of the basis, and the witness
+    P e_j* / ||P e_j*|| attains it. Always >= sqrt(dim/N) by the trace
+    pigeonhole.
     """
-    if proj.dimension == 0:
-        raise ValueError("projector has dimension 0")
-    row_norms = np.linalg.norm(proj.basis, axis=1)
+    if not basis.size:
+        raise ValueError("eigenspace basis is empty")
+    row_norms = np.linalg.norm(basis, axis=1)
     index = int(np.argmax(row_norms))
     value = float(row_norms[index])
-    witness = proj.basis @ proj.basis[index].conj()
-    witness = witness / value
-    return value, index, witness
-
-
-def _cluster_extremals(report: SpectrumReport) -> list[tuple[float, int, np.ndarray]]:
-    """extremal_supnorm of every cluster, in cluster order."""
-    return [extremal_supnorm(projector(report, c)) for c in range(len(report.clusters))]
+    witness = basis @ basis[index].conj()
+    return value, index, witness / value
 
 
 def supnorm_summary(report: SpectrumReport) -> SupnormResult:
@@ -307,9 +282,10 @@ def supnorm_summary(report: SpectrumReport) -> SupnormResult:
     """
     if not report.clusters:
         raise ValueError("report has no clusters; run cluster_eigenvalues first")
-    extremals = _cluster_extremals(report)
-    cid = max(range(len(extremals)), key=lambda c: extremals[c][0])
-    value, index, witness = extremals[cid]
+    bases = [projector(report, cid) for cid in range(len(report.clusters))]
+    norms = [op_norm_2_inf(basis) for basis in bases]
+    cid = norms.index(max(norms))
+    value, index, witness = extremal_supnorm(bases[cid])
     return SupnormResult(
         value=value,
         cluster_id=cid,
@@ -317,17 +293,6 @@ def supnorm_summary(report: SpectrumReport) -> SupnormResult:
         witness=witness,
         cluster_dim=report.clusters[cid].dim,
     )
-
-
-def max_supnorm(
-    M: Propagator | np.ndarray,
-    n: int | None = None,
-    lam: float | None = None,
-    tol: float = 1e-7,
-) -> SupnormResult:
-    """Eigendecompose, cluster, and extract the extremal sup norm of M."""
-    report = cluster_eigenvalues(eigendecompose(M), n=n, lam=lam, tol=tol)
-    return supnorm_summary(report)
 
 
 def op_norm_1_inf(X: np.ndarray) -> float:
@@ -372,7 +337,6 @@ def averaging_operator(
 
 def report_to_dict(report: SpectrumReport) -> dict:
     """JSON-ready view of a clustered spectrum report."""
-    extremals = _cluster_extremals(report)
     return {
         "N": report.N,
         "eigenvalues": [[float(v.real), float(v.imag)] for v in report.eigenvalues],
@@ -381,7 +345,7 @@ def report_to_dict(report: SpectrumReport) -> dict:
                 "phase": cluster.phase,
                 "indices": list(cluster.indices),
                 "dim": cluster.dim,
-                "supnorm": extremals[cid][0],
+                "supnorm": op_norm_2_inf(projector(report, cid)),
             }
             for cid, cluster in enumerate(report.clusters)
         ],

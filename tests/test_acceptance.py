@@ -192,8 +192,8 @@ def test_criterion_8_small_dimension_oracles():
                 eigendecompose(prop), n=record.n_N, lam=LAM
             )
             for cid, cluster in enumerate(report.clusters):
-                basis = projector(report, cid).basis
-                value, _, _ = extremal_supnorm(projector(report, cid))
+                basis = projector(report, cid)
+                value, _, _ = extremal_supnorm(basis)
 
                 # random-unit-vector search lower-bounds the sup
                 z = rng.normal(size=(100_000, cluster.dim, 2)) @ np.array([1.0, 1.0j])

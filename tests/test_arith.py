@@ -270,5 +270,5 @@ class TestShortPeriodSequence:
             short_period_sequence(CatMatrix(3, 2, 4, 3), 3)
 
     def test_periods_match_quantum_period(self):
-        for modulus, period in short_period_sequence(A, 6, verify_below=0):
+        for modulus, period in short_period_sequence(A, 6):
             assert quantum_period(A, modulus).n_N == period

@@ -199,6 +199,12 @@ class TestScanCommand:
         )
         assert serial.read_bytes() == threaded.read_bytes()
 
+    def test_binary_format_rejected(self, capsys):
+        code, out, err = run(capsys, "scan", "--n-min", "3", "--n-max", "7", "--format", "binary")
+        assert code == 2
+        assert out == ""
+        assert "binary" in err
+
     def test_json_output(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--n-min", "5", "--n-max", "5", "--format", "json"
@@ -272,6 +278,14 @@ class TestVerifyCommand:
         assert code == 0
         assert out.splitlines()[0] == "bound,N,value,threshold,ok"
 
+    def test_allow_even_n_reaches_the_scan(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--n-min", "4", "--n-max", "8", "--allow-even-n",
+            "--format", "json",
+        )
+        assert code == 0
+        assert [c["N"] for c in json.loads(out)["upper"]] == [4, 5, 6, 7, 8]
+
 
 class TestConfigStack:
     def test_round_trip(self):
@@ -301,6 +315,20 @@ class TestConfigStack:
         code, _, err = run(capsys, "scan", "--config", str(config))
         assert code == 2
         assert "n_mxa" in err
+
+    @pytest.mark.parametrize(
+        "command, data, key",
+        [
+            (["scan", "--n-max", "7"], {"jobs": "2"}, "jobs"),
+            (["period", "--n", "5"], {"a": 2.0}, "a"),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, capsys, tmp_path, command, data, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(data))
+        code, _, err = run(capsys, *command, "--config", str(config))
+        assert code == 2
+        assert "config key %s must be" % key in err
 
     def test_malformed_config(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"

@@ -16,7 +16,6 @@ from catlab.spectral import (
     cluster_eigenvalues,
     eigendecompose,
     extremal_supnorm,
-    max_supnorm,
     op_norm_1_inf,
     op_norm_2_inf,
     projector,
@@ -42,6 +41,10 @@ def clustered5(prop5):
 def clustered71():
     prop = build_propagator(A, 71)
     return cluster_eigenvalues(eigendecompose(prop), n=7, lam=LAM)
+
+
+def summarize(M, n=None, lam=None):
+    return supnorm_summary(cluster_eigenvalues(eigendecompose(M), n=n, lam=lam))
 
 
 def synthetic_report(values):
@@ -163,13 +166,13 @@ class TestClustering:
 class TestProjectors:
     def test_invariants(self, clustered71):
         for cid, cluster in enumerate(clustered71.clusters):
-            proj = projector(clustered71, cid)
-            P = proj.matrix()
+            basis = projector(clustered71, cid)
+            P = basis @ basis.conj().T
             n = clustered71.N
             assert np.abs(P @ P - P).max() <= 1e-9 * n
             assert np.abs(P.conj().T - P).max() <= 1e-12 * n
             assert np.trace(P).real == pytest.approx(cluster.dim, abs=1e-8)
-            gram = proj.basis.conj().T @ proj.basis
+            gram = basis.conj().T @ basis
             assert np.abs(gram - np.eye(cluster.dim)).max() <= 1e-12
 
     def test_full_space_projector(self):
@@ -183,13 +186,14 @@ class TestProjectors:
         # projection onto the constant vector: all row norms equal 1/sqrt(N)
         n = 8
         u = np.full((n, 1), 1 / math.sqrt(n), dtype=np.complex128)
-        from catlab.spectral import EigenspaceProjector
-
-        proj = EigenspaceProjector(cluster_id=0, N=n, dimension=1, basis=u)
-        value, index, witness = extremal_supnorm(proj)
+        value, index, witness = extremal_supnorm(u)
         assert value == pytest.approx(1 / math.sqrt(n), abs=1e-12)
         assert index == 0
         assert np.allclose(np.abs(witness), 1 / math.sqrt(n))
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            extremal_supnorm(np.zeros((4, 0), dtype=np.complex128))
 
     def test_trace_pigeonhole(self, clustered5, clustered71):
         for report in (clustered5, clustered71):
@@ -218,7 +222,7 @@ class TestProjectors:
 
 class TestSupnormSummary:
     def test_dimension_one(self):
-        result = max_supnorm(np.eye(1), n=1)
+        result = summarize(np.eye(1), n=1)
         assert result.value == pytest.approx(1.0)
 
     def test_random_search_cannot_beat_projector(self, clustered5):
@@ -226,7 +230,7 @@ class TestSupnormSummary:
         result = supnorm_summary(clustered5)
         best = 0.0
         for cid, cluster in enumerate(clustered5.clusters):
-            basis = projector(clustered5, cid).basis
+            basis = projector(clustered5, cid)
             z = rng.normal(size=(2000, cluster.dim, 2)) @ np.array([1, 1j])
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             samples = np.abs(z @ basis.T).max()
@@ -235,11 +239,23 @@ class TestSupnormSummary:
         assert result.value - best < 5e-2
 
     def test_phase_invariance(self, prop5):
-        base = max_supnorm(prop5.entries, n=3, lam=LAM)
-        rotated = max_supnorm(np.exp(0.37j) * prop5.entries, n=3, lam=LAM)
+        base = summarize(prop5.entries, n=3, lam=LAM)
+        rotated = summarize(np.exp(0.37j) * prop5.entries, n=3, lam=LAM)
         assert rotated.value == pytest.approx(base.value, abs=1e-10)
         assert rotated.cluster_dim == base.cluster_dim
         assert rotated.witness_index == base.witness_index
+
+    @pytest.mark.parametrize("turn, first_dim", [(0.0, 2), (0.6, 3)])
+    def test_first_cluster_wins_exact_tie(self, turn, first_dim):
+        # eigenvectors are coordinate vectors, so every cluster's sup
+        # norm is exactly 1; the first cluster in phase order must win
+        values = np.exp(2j * np.pi * turn) * np.array([1, 1, 1j, -1, -1, -1])
+        report = cluster_eigenvalues(synthetic_report(values))
+        assert [op_norm_2_inf(projector(report, cid)) for cid in range(3)] == [1.0] * 3
+        result = supnorm_summary(report)
+        assert result.cluster_id == 0
+        assert result.cluster_dim == first_dim
+        assert result.witness_index == report.clusters[0].indices[0]
 
     def test_unclustered_report_rejected(self, prop5):
         with pytest.raises(ValueError):
