@@ -22,6 +22,10 @@ from typing import IO, Callable
 from . import arith, experiments, quantize, spectral, svg
 
 PROG = "catlab"
+# CSV columns of the tables built here; the experiments module owns the rest.
+SEQUENCE_FIELDS = ("k", "N_k", "t_k")
+SPECTRUM_FIELDS = ("index", "re", "im", "phase", "cluster", "residual")
+VERIFY_FIELDS = ("bound", "N", "value", "threshold", "ok")
 
 
 class UsageError(Exception):
@@ -143,6 +147,15 @@ def _write_text(cfg: RunConfig, render: Callable[[IO[str]], None]) -> None:
         render(sys.stdout)
 
 
+def _emit(cfg: RunConfig, payload, render: Callable[[IO[str]], None]) -> None:
+    """Write payload as JSON under --format json, else what render writes
+    (a CSV table, or classify's text report)."""
+    if cfg.format == "json":
+        _write_text(cfg, lambda fh: fh.write(_dump_json(payload)))
+    else:
+        _write_text(cfg, render)
+
+
 def _write_svg(cfg: RunConfig, render: Callable[[IO[str]], None]) -> None:
     if cfg.svg:
         with open(cfg.svg, "w", encoding="utf-8", newline="") as fh:
@@ -157,56 +170,37 @@ def _require_n(cfg: RunConfig) -> int:
 
 def cmd_classify(cfg: RunConfig) -> int:
     report = arith.validate_catmap(cfg.a, cfg.b, cfg.c, cfg.d)
-    if cfg.format == "json":
-        _write_text(cfg, lambda fh: fh.write(_dump_json(report.to_dict())))
-    else:
-        lines = [
-            "matrix: [[%d, %d], [%d, %d]]" % (cfg.a, cfg.b, cfg.c, cfg.d),
-            "trace: %d" % report.trace,
-            "lambda: %s" % ("-" if report.lam is None else repr(report.lam)),
-            "quantizable: %s" % ("yes" if report.is_quantizable else "no"),
-            "short-period eligible: %s" % ("yes" if report.short_period_eligible else "no"),
-        ]
-        if report.failure_reasons:
-            lines.append("failures: " + "; ".join(report.failure_reasons))
-        if report.eligibility_failures:
-            lines.append("eligibility failures: " + "; ".join(report.eligibility_failures))
-        _write_text(cfg, lambda fh: fh.write("\n".join(lines) + "\n"))
+    lines = [
+        "matrix: [[%d, %d], [%d, %d]]" % (cfg.a, cfg.b, cfg.c, cfg.d),
+        "trace: %d" % report.trace,
+        "lambda: %s" % ("-" if report.lam is None else repr(report.lam)),
+        "quantizable: %s" % ("yes" if report.is_quantizable else "no"),
+        "short-period eligible: %s" % ("yes" if report.short_period_eligible else "no"),
+    ]
+    if report.failure_reasons:
+        lines.append("failures: " + "; ".join(report.failure_reasons))
+    if report.eligibility_failures:
+        lines.append("eligibility failures: " + "; ".join(report.eligibility_failures))
+    _emit(cfg, report.to_dict(), lambda fh: fh.write("\n".join(lines) + "\n"))
     return 0 if report.is_quantizable else 1
 
 
 def cmd_sequence(cfg: RunConfig) -> int:
     pairs = arith.short_period_sequence(cfg.matrix(), cfg.count)
-    if cfg.format == "json":
-        payload = [
-            {"k": k, "N_k": modulus, "t_k": period}
-            for k, (modulus, period) in enumerate(pairs, start=1)
-        ]
-        _write_text(cfg, lambda fh: fh.write(_dump_json(payload)))
-    else:
-        def render(fh):
-            fh.write("k,N_k,t_k\n")
-            for k, (modulus, period) in enumerate(pairs, start=1):
-                fh.write("%d,%d,%d\n" % (k, modulus, period))
-
-        _write_text(cfg, render)
+    payload = [
+        {"k": k, "N_k": modulus, "t_k": period}
+        for k, (modulus, period) in enumerate(pairs, start=1)
+    ]
+    rows = (row.values() for row in payload)
+    _emit(cfg, payload, lambda fh: experiments.write_table(SEQUENCE_FIELDS, rows, fh))
     return 0
 
 
 def cmd_period(cfg: RunConfig) -> int:
     n = _require_n(cfg)
-    record = arith.quantum_period(cfg.matrix(), n)
-    if cfg.format == "json":
-        _write_text(cfg, lambda fh: fh.write(_dump_json(record.to_dict())))
-    else:
-        def render(fh):
-            fh.write("N,T_N,n_N,rule\n")
-            fh.write(
-                "%d,%d,%d,%s\n"
-                % (record.N, record.T_N, record.n_N, record.parity_rule_used.value)
-            )
-
-        _write_text(cfg, render)
+    payload = arith.quantum_period(cfg.matrix(), n).to_dict()
+    rows = [payload.values()]
+    _emit(cfg, payload, lambda fh: experiments.write_table(payload.keys(), rows, fh))
     return 0
 
 
@@ -243,38 +237,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         cfg.matrix(), n, cfg.tol_cluster, cfg.tol_unitarity, cfg.allow_even_n
     )
     payload = spectral.report_to_dict(report)
-    if cfg.format == "json":
-        _write_text(cfg, lambda fh: fh.write(_dump_json(payload)))
-    else:
-        cluster_of = {}
-        for cid, cluster in enumerate(payload["clusters"]):
-            for index in cluster["indices"]:
-                cluster_of[index] = cid
-
-        def render(fh):
-            fh.write("index,re,im,phase,cluster,residual\n")
-            for i, (re, im) in enumerate(payload["eigenvalues"]):
-                fh.write(
-                    "%d,%s,%s,%s,%d,%s\n"
-                    % (
-                        i,
-                        repr(re),
-                        repr(im),
-                        repr(payload["clusters"][cluster_of[i]]["phase"]),
-                        cluster_of[i],
-                        repr(float(report.residuals[i])),
-                    )
-                )
-
-        _write_text(cfg, render)
+    clusters = payload["clusters"]
+    cluster_of = {i: cid for cid, c in enumerate(clusters) for i in c["indices"]}
+    rows = (
+        (i, re, im, clusters[cluster_of[i]]["phase"], cluster_of[i], report.residuals[i])
+        for i, (re, im) in enumerate(payload["eigenvalues"])
+    )
+    _emit(cfg, payload, lambda fh: experiments.write_table(SPECTRUM_FIELDS, rows, fh))
     return 0
-
-
-def _emit_records(cfg: RunConfig, records, write_csv, to_json) -> None:
-    if cfg.format == "json":
-        _write_text(cfg, lambda fh: fh.write(_dump_json(to_json(records))))
-    else:
-        _write_text(cfg, lambda fh: write_csv(records, fh))
 
 
 def _warn_errors(records) -> None:
@@ -301,9 +271,8 @@ def _scan(cfg: RunConfig) -> list[experiments.ScanRecord]:
 
 def cmd_scan(cfg: RunConfig) -> int:
     records = _scan(cfg)
-    _emit_records(
-        cfg, records, experiments.write_scan_csv, experiments.scan_records_to_json
-    )
+    payload = [r.to_dict() for r in records]
+    _emit(cfg, payload, lambda fh: experiments.write_scan_csv(records, fh))
     _write_svg(cfg, lambda fh: svg.render_scan_svg(records, fh))
     _warn_errors(records)
     return 0
@@ -318,12 +287,8 @@ def cmd_profile(cfg: RunConfig) -> int:
         unitarity_tol=cfg.tol_unitarity,
         allow_even=cfg.allow_even_n,
     )
-    _emit_records(
-        cfg,
-        profile,
-        experiments.write_profile_csv,
-        experiments.profile_to_json,
-    )
+    payload = [{"i": i, "abs_u_i": float(v)} for i, v in enumerate(profile)]
+    _emit(cfg, payload, lambda fh: experiments.write_profile_csv(profile, fh))
     _write_svg(cfg, lambda fh: svg.render_profile_svg(profile, fh))
     return 0
 
@@ -333,12 +298,8 @@ def cmd_dispersive(cfg: RunConfig) -> int:
     records = experiments.dispersive_scan(
         cfg.matrix(), [n], cfg.jmax, unitarity_tol=cfg.tol_unitarity
     )
-    _emit_records(
-        cfg,
-        records,
-        experiments.write_dispersive_csv,
-        experiments.dispersive_records_to_json,
-    )
+    payload = [r.to_dict() for r in records]
+    _emit(cfg, payload, lambda fh: experiments.write_dispersive_csv(records, fh))
     _write_svg(cfg, lambda fh: svg.render_dispersive_svg(records, fh))
     _warn_errors(records)
     return 0
@@ -350,21 +311,11 @@ def cmd_verify(cfg: RunConfig) -> int:
             records = experiments.read_scan_csv(fh)
     else:
         records = _scan(cfg)
-    report = experiments.verify_bounds(records, eps=cfg.epsilon)
-    if cfg.format == "json":
-        _write_text(cfg, lambda fh: fh.write(_dump_json(report.to_dict())))
-    else:
-        def render(fh):
-            fh.write("bound,N,value,threshold,ok\n")
-            for bound, checks in (("lower", report.lower), ("upper", report.upper)):
-                for check in checks:
-                    fh.write(
-                        "%s,%d,%s,%s,%s\n"
-                        % (bound, check.N, repr(check.value), repr(check.threshold),
-                           "true" if check.ok else "false")
-                    )
-
-        _write_text(cfg, render)
+    payload = experiments.verify_bounds(records, eps=cfg.epsilon).to_dict()
+    rows = (
+        (bound, *check.values()) for bound in ("lower", "upper") for check in payload[bound]
+    )
+    _emit(cfg, payload, lambda fh: experiments.write_table(VERIFY_FIELDS, rows, fh))
     return 0
 
 
@@ -381,26 +332,43 @@ _COMMANDS = {
 }
 
 
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the flags it reads.
+
+    A config file may still set any key; commands ignore the keys they
+    do not read.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat JSON config file")
-    common.add_argument("-a", type=int, dest="a", help="matrix entry a")
-    common.add_argument("-b", type=int, dest="b", help="matrix entry b")
-    common.add_argument("-c", type=int, dest="c", help="matrix entry c")
-    common.add_argument("-d", type=int, dest="d", help="matrix entry d")
+    for entry in "abcd":
+        common.add_argument("-" + entry, type=int, dest=entry, help="matrix entry " + entry)
     common.add_argument("--format", choices=("csv", "json", "binary"))
     common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--svg", help="also render an SVG plot to this path")
-    common.add_argument("--tol-unitarity", type=float, dest="tol_unitarity")
-    common.add_argument("--tol-cluster", type=float, dest="tol_cluster")
-    common.add_argument(
+    n = _flag("--n", type=int, help="dimension N")
+    n_min = _flag("--n-min", type=int, dest="n_min")
+    n_max = _flag("--n-max", type=int, dest="n_max")
+    count = _flag("--count", type=int, help="number of pairs to emit")
+    jmax = _flag("--jmax", type=int, help="largest power")
+    epsilon = _flag("--epsilon", type=float, help="slack in the bound checks")
+    records = _flag("--records", help="scan CSV to verify instead of rescanning")
+    plot = _flag("--svg", help="also render an SVG plot to this path")
+    unitarity = _flag("--tol-unitarity", type=float, dest="tol_unitarity")
+    cluster = _flag("--tol-cluster", type=float, dest="tol_cluster")
+    even = _flag(
         "--allow-even-n",
         action="store_const",
         const=True,
         dest="allow_even_n",
         help="allow even dimensions (exploration only)",
     )
-    common.add_argument(
+    jobs = _flag(
         "--jobs", type=int, help="worker processes for scans, one BLAS thread each"
     )
 
@@ -409,31 +377,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for quantized hyperbolic torus maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("classify", parents=[common], help="classify a matrix")
-    p = sub.add_parser(
-        "sequence", parents=[common], help="short-period modulus sequence"
-    )
-    p.add_argument("--count", type=int, help="number of pairs to emit")
-    p = sub.add_parser("period", parents=[common], help="quantum period of one N")
-    p.add_argument("--n", type=int, help="dimension N")
-    p = sub.add_parser("propagator", parents=[common], help="dump one propagator")
-    p.add_argument("--n", type=int, help="dimension N")
-    p = sub.add_parser("spectrum", parents=[common], help="clustered eigensystem")
-    p.add_argument("--n", type=int, help="dimension N")
-    p = sub.add_parser("scan", parents=[common], help="sup-norm sweep over N")
-    p.add_argument("--n-min", type=int, dest="n_min")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p = sub.add_parser("profile", parents=[common], help="witness eigenfunction")
-    p.add_argument("--n", type=int, help="dimension N")
-    p = sub.add_parser("dispersive", parents=[common], help="power-norm decay")
-    p.add_argument("--n", type=int, help="dimension N")
-    p.add_argument("--jmax", type=int, help="largest power")
-    p = sub.add_parser("verify", parents=[common], help="check envelope bounds")
-    p.add_argument("--n-min", type=int, dest="n_min")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--epsilon", type=float, help="slack in the bound checks")
-    p.add_argument("--records", help="scan CSV to verify instead of rescanning")
+    for command, help_text, flags in (
+        ("classify", "classify a matrix", []),
+        ("sequence", "short-period modulus sequence", [count]),
+        ("period", "quantum period of one N", [n]),
+        ("propagator", "dump one propagator", [n, unitarity, even]),
+        ("spectrum", "clustered eigensystem", [n, unitarity, cluster, even]),
+        (
+            "scan",
+            "sup-norm sweep over N",
+            [n_min, n_max, plot, unitarity, cluster, even, jobs],
+        ),
+        ("profile", "witness eigenfunction", [n, plot, unitarity, cluster, even]),
+        ("dispersive", "power-norm decay", [n, jmax, plot, unitarity]),
+        (
+            "verify",
+            "check envelope bounds",
+            [n_min, n_max, epsilon, records, unitarity, cluster, even, jobs],
+        ),
+    ):
+        sub.add_parser(command, parents=[common, *flags], help=help_text)
     return parser
 
 

@@ -11,8 +11,9 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
+from operator import attrgetter
 from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -52,28 +53,20 @@ __all__ = [
     "eigenfunction_profile",
     "dispersive_scan",
     "verify_bounds",
+    "write_table",
     "write_scan_csv",
     "read_scan_csv",
-    "scan_records_to_json",
     "write_dispersive_csv",
-    "dispersive_records_to_json",
     "write_profile_csv",
-    "profile_to_json",
 ]
 
-SCAN_FIELDS = (
-    "N",
-    "n_N",
-    "max_supnorm",
-    "lower_env",
-    "upper_env",
-    "trivial_lb",
-    "is_bdb",
-    "witness_index",
-    "cluster_dim",
-)
-DISPERSIVE_FIELDS = ("N", "j", "norm_1_inf", "bound")
-PROFILE_FIELDS = ("i", "abs_u_i")
+
+def _row_dict(record) -> dict:
+    """JSON form of a sweep record: its fields, error only when set."""
+    data = asdict(record)
+    if data["error"] is None:
+        del data["error"]
+    return data
 
 
 @dataclass(frozen=True)
@@ -97,20 +90,7 @@ class ScanRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        data = {
-            "N": self.N,
-            "n_N": self.n_N,
-            "max_supnorm": self.max_supnorm,
-            "lower_env": self.lower_env,
-            "upper_env": self.upper_env,
-            "trivial_lb": self.trivial_lb,
-            "is_bdb": self.is_bdb,
-            "witness_index": self.witness_index,
-            "cluster_dim": self.cluster_dim,
-        }
-        if self.error is not None:
-            data["error"] = self.error
-        return data
+        return _row_dict(self)
 
 
 @dataclass(frozen=True)
@@ -128,15 +108,13 @@ class DispersiveRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        data = {
-            "N": self.N,
-            "j": self.j,
-            "norm_1_inf": self.norm_1_inf,
-            "bound": self.bound,
-        }
-        if self.error is not None:
-            data["error"] = self.error
-        return data
+        return _row_dict(self)
+
+
+# CSV columns: every field but the error text.
+SCAN_FIELDS = tuple(f.name for f in fields(ScanRecord) if f.name != "error")
+DISPERSIVE_FIELDS = tuple(f.name for f in fields(DispersiveRecord) if f.name != "error")
+PROFILE_FIELDS = ("i", "abs_u_i")
 
 
 def _envelopes(N: int, lam: float) -> tuple[float, float, float]:
@@ -222,6 +200,9 @@ def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[
 # (ValueError, which covers LinAlgError) as error rows; bugs propagate.
 CERTIFICATION_ERRORS = (CertificationError, ResidualError, AmbiguousClusterError)
 _ROW_ERRORS = (ValueError, *CERTIFICATION_ERRORS)
+# Certification bound on the unitarity drift max|P^H P - I| of each
+# propagator power P in dispersive_scan.
+DRIFT_TOL = 1e-7
 
 
 def _scan_single(
@@ -318,16 +299,16 @@ def dispersive_scan(
     A: CatMatrix,
     N_list: Sequence[int],
     j_max: int,
-    drift_tol: float = 1e-7,
     unitarity_tol: float = 1e-9,
 ) -> list[DispersiveRecord]:
     """Largest entry modulus of propagator powers M^j for 1 <= j <= j_max.
 
     Powers are built by repeated multiplication with a unitarity drift
-    check at every step (a drift violation aborts that N with an error
-    row and moves on). The comparison bound sqrt(|b_j|/N) comes from the
-    exact integer power of the map, keeping the two sides of the check
-    independent. Every N is validated before any propagator is built.
+    check against DRIFT_TOL at every step (a drift violation aborts that
+    N with an error row and moves on). The comparison bound
+    sqrt(|b_j|/N) comes from the exact integer power of the map, keeping
+    the two sides of the check independent. Every N is validated before
+    any propagator is built.
     """
     require_quantizable(A)
     if j_max < 1:
@@ -342,7 +323,7 @@ def dispersive_scan(
         power = prop.entries
         for j in range(1, j_max + 1):
             drift = float(np.abs(power.conj().T @ power - identity).max())
-            if drift > drift_tol:
+            if drift > DRIFT_TOL:
                 records.append(
                     DispersiveRecord(
                         N=N,
@@ -382,12 +363,7 @@ class BoundCheck:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "value": self.value,
-            "threshold": self.threshold,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -403,25 +379,16 @@ class BoundsReport:
     """
 
     eps: float
-    lower: tuple[BoundCheck, ...]
-    upper: tuple[BoundCheck, ...]
+    lower_testable: bool
     lower_onset: int | None
     upper_onset: int | None
-    lower_testable: bool
     upper_first_half_pass: float | None
     upper_second_half_pass: float | None
+    lower: tuple[BoundCheck, ...]
+    upper: tuple[BoundCheck, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "lower_testable": self.lower_testable,
-            "lower_onset": self.lower_onset,
-            "upper_onset": self.upper_onset,
-            "upper_first_half_pass": self.upper_first_half_pass,
-            "upper_second_half_pass": self.upper_second_half_pass,
-            "lower": [check.to_dict() for check in self.lower],
-            "upper": [check.to_dict() for check in self.upper],
-        }
+        return asdict(self)
 
 
 def _onset(checks: Sequence[BoundCheck]) -> int | None:
@@ -497,40 +464,51 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        # float() first: repr of an np.float64 is "np.float64(...)"
+        return repr(float(value))
     return str(value)
 
 
-def write_scan_csv(records: Iterable[ScanRecord], fh: IO[str]) -> None:
-    fh.write(",".join(SCAN_FIELDS) + "\n")
-    for r in records:
-        row = (
-            r.N,
-            r.n_N,
-            r.max_supnorm,
-            r.lower_env,
-            r.upper_env,
-            r.trivial_lb,
-            r.is_bdb,
-            r.witness_index,
-            r.cluster_dim,
-        )
+def write_table(fields: Sequence[str], rows: Iterable[Iterable], fh: IO[str]) -> None:
+    """The one CSV table format: a header line, then one line per row.
+
+    Floats are written as repr (round-trips exactly), booleans as
+    true/false, None as an empty cell, anything else with str.
+    """
+    fh.write(",".join(fields) + "\n")
+    for row in rows:
         fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def write_scan_csv(records: Iterable[ScanRecord], fh: IO[str]) -> None:
+    write_table(SCAN_FIELDS, map(attrgetter(*SCAN_FIELDS), records), fh)
+
+
+_CSV_BOOLS = {"true": True, "false": False}
+
+
 def read_scan_csv(fh: IO[str]) -> list[ScanRecord]:
-    """Parse scan CSV back into records (error rows come back as errors)."""
+    """Parse scan CSV back into records (error rows come back as errors).
+
+    Raises ValueError naming the line on a malformed row, including an
+    is_bdb cell other than true or false.
+    """
     header = fh.readline().strip()
     if header != ",".join(SCAN_FIELDS):
         raise ValueError("unexpected scan CSV header: %r" % header)
     records = []
-    for line in fh:
+    for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
             continue
         cells = line.split(",")
         if len(cells) != len(SCAN_FIELDS):
-            raise ValueError("malformed scan CSV row: %r" % line)
+            raise ValueError("malformed scan CSV row at line %d: %r" % (lineno, line))
+        if cells[6] not in _CSV_BOOLS:
+            raise ValueError(
+                "scan CSV line %d: is_bdb must be true or false, got %r"
+                % (lineno, cells[6])
+            )
         blank = cells[2] == ""
         records.append(
             ScanRecord(
@@ -540,7 +518,7 @@ def read_scan_csv(fh: IO[str]) -> list[ScanRecord]:
                 lower_env=float(cells[3]),
                 upper_env=float(cells[4]),
                 trivial_lb=float(cells[5]),
-                is_bdb=cells[6] == "true",
+                is_bdb=_CSV_BOOLS[cells[6]],
                 witness_index=None if cells[7] == "" else int(cells[7]),
                 cluster_dim=None if cells[8] == "" else int(cells[8]),
                 error="error row" if blank else None,
@@ -549,27 +527,9 @@ def read_scan_csv(fh: IO[str]) -> list[ScanRecord]:
     return records
 
 
-def scan_records_to_json(records: Iterable[ScanRecord]) -> list[dict]:
-    return [r.to_dict() for r in records]
-
-
 def write_dispersive_csv(records: Iterable[DispersiveRecord], fh: IO[str]) -> None:
-    fh.write(",".join(DISPERSIVE_FIELDS) + "\n")
-    for r in records:
-        fh.write(
-            ",".join(_fmt(v) for v in (r.N, r.j, r.norm_1_inf, r.bound)) + "\n"
-        )
-
-
-def dispersive_records_to_json(records: Iterable[DispersiveRecord]) -> list[dict]:
-    return [r.to_dict() for r in records]
+    write_table(DISPERSIVE_FIELDS, map(attrgetter(*DISPERSIVE_FIELDS), records), fh)
 
 
 def write_profile_csv(profile: np.ndarray, fh: IO[str]) -> None:
-    fh.write(",".join(PROFILE_FIELDS) + "\n")
-    for i, value in enumerate(profile):
-        fh.write("%d,%s\n" % (i, repr(float(value))))
-
-
-def profile_to_json(profile: np.ndarray) -> list[dict]:
-    return [{"i": i, "abs_u_i": float(v)} for i, v in enumerate(profile)]
+    write_table(PROFILE_FIELDS, enumerate(profile), fh)

@@ -40,8 +40,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# Certification bounds: eigenpair residual (times sqrt(N)), scalar M^n.
+# Certification bounds: eigenpair residual (times sqrt(N)), eigenvalue
+# distance from the unit circle, scalar M^n.
 RESIDUAL_TOL = 1e-8
+MODULUS_TOL = 1e-8
 SCALAR_TOL = 1e-7
 
 
@@ -110,7 +112,7 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     construction; for a unitary input the Schur factor is diagonal to
     machine precision, so its columns are eigenvectors. Raises
     ResidualError when per-pair residuals exceed RESIDUAL_TOL*sqrt(N) or
-    any eigenvalue modulus strays from 1 by more than 1e-8; scipy's
+    any eigenvalue modulus strays from 1 by more than MODULUS_TOL; scipy's
     LinAlgError propagates on solver non-convergence.
     """
     matrix, n = _as_matrix(M)
@@ -125,12 +127,15 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     worst = float(residuals.max()) if n else 0.0
     if worst > RESIDUAL_TOL * math.sqrt(n):
         raise ResidualError(
-            "eigenpair residual %.3e exceeds %.3e"
-            % (worst, RESIDUAL_TOL * math.sqrt(n))
+            "N=%d: eigenpair residual %.3e exceeds %.3e"
+            % (n, worst, RESIDUAL_TOL * math.sqrt(n))
         )
     moduli = np.abs(values)
-    if moduli.size and (moduli.max() > 1 + 1e-8 or moduli.min() < 1 - 1e-8):
-        raise ResidualError("eigenvalue modulus strays from the unit circle")
+    if moduli.size and (moduli.max() > 1 + MODULUS_TOL or moduli.min() < 1 - MODULUS_TOL):
+        raise ResidualError(
+            "N=%d: eigenvalue modulus strays from the unit circle by %.3e"
+            " (bound %.3e)" % (n, float(np.abs(moduli - 1).max()), MODULUS_TOL)
+        )
     return SpectrumReport(
         N=n,
         matrix=matrix,
@@ -149,9 +154,15 @@ def _snap_clusters(report: SpectrumReport, n: int, tol: float) -> SpectrumReport
     power = np.linalg.matrix_power(report.matrix, n)
     scalar = power[0, 0]
     off = float(np.abs(power - scalar * np.eye(report.N)).max())
-    if off > SCALAR_TOL or abs(abs(scalar) - 1) > SCALAR_TOL:
+    if off > SCALAR_TOL:
         raise ResidualError(
-            "matrix power %d is not scalar (residual %.3e); wrong period?" % (n, off)
+            "N=%d: matrix power %d is not scalar (residual %.3e exceeds %.3e);"
+            " wrong period?" % (report.N, n, off, SCALAR_TOL)
+        )
+    if abs(abs(scalar) - 1) > SCALAR_TOL:
+        raise ResidualError(
+            "N=%d: scalar matrix power %d strays from the unit circle by %.3e"
+            " (bound %.3e)" % (report.N, n, abs(abs(scalar) - 1), SCALAR_TOL)
         )
     phi = float(np.angle(scalar))
     roots = np.mod((phi + TWO_PI * np.arange(n)) / n, TWO_PI)
@@ -164,7 +175,8 @@ def _snap_clusters(report: SpectrumReport, n: int, tol: float) -> SpectrumReport
         runner_up = np.partition(dist, 1)[1] if n > 1 else math.inf
         if runner_up < 2 * tol:
             raise AmbiguousClusterError(
-                "eigenvalue %d within 2*tol of two period-%d roots" % (i, n)
+                "N=%d: eigenvalue %d lies %.3e from a second period-%d root,"
+                " within 2*tol %.3e" % (report.N, i, runner_up, n, 2 * tol)
             )
         if dist[nearest] > tol:
             raise AmbiguousClusterError(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from catlab.cli import RunConfig, main
+from catlab.experiments import _fmt
 from catlab.quantize import read_matrix_binary
 
 
@@ -358,3 +359,66 @@ class TestIOErrors:
         code, _, err = run(capsys, "sequence", "--out", str(target))
         assert code == 3
         assert "i/o" in err
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["spectrum", "--n", "5", "--svg", "{tmp}/x.svg"], "--svg"),
+            (["dispersive", "--n", "5", "--jmax", "2", "--tol-cluster", "5"], "--tol-cluster"),
+            (["dispersive", "--n", "5", "--jmax", "2", "--jobs", "4"], "--jobs"),
+            (["dispersive", "--n", "5", "--jmax", "2", "--allow-even-n"], "--allow-even-n"),
+        ],
+    )
+    def test_flag_the_command_ignores_is_usage_error(self, capsys, tmp_path, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert err.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _csv_rows(out):
+    return [line.split(",") for line in out.splitlines()[1:]]
+
+
+class TestTableFormat:
+    """CSV cells are _fmt of the values in the same command's JSON."""
+
+    def test_spectrum(self, capsys):
+        _, out, _ = run(capsys, "spectrum", "--n", "5", "--format", "json")
+        payload = json.loads(out)
+        _, out, _ = run(capsys, "spectrum", "--n", "5")
+        rows = _csv_rows(out)
+        assert len(rows) == payload["N"]
+        for i, (index, re, im, phase, cid, _) in enumerate(rows):
+            cluster = payload["clusters"][int(cid)]
+            assert index == _fmt(i) and i in cluster["indices"]
+            assert [re, im] == [_fmt(v) for v in payload["eigenvalues"][i]]
+            assert phase == _fmt(cluster["phase"])
+        worst = max((row[5] for row in rows), key=float)
+        assert worst == _fmt(payload["residual_max"])
+
+    def test_verify(self, capsys):
+        argv = ["verify", "--n-min", "3", "--n-max", "31"]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        _, out, _ = run(capsys, *argv)
+        expected = [
+            [bound] + [_fmt(v) for v in check.values()]
+            for bound in ("lower", "upper")
+            for check in payload[bound]
+        ]
+        assert _csv_rows(out) == expected
+        assert len(payload["lower"]) == 2
+        assert list(payload) == [
+            "eps",
+            "lower_testable",
+            "lower_onset",
+            "upper_onset",
+            "upper_first_half_pass",
+            "upper_second_half_pass",
+            "lower",
+            "upper",
+        ]

@@ -18,12 +18,12 @@ from catlab.experiments import (
     eigenfunction_profile,
     read_scan_csv,
     scan_supnorms,
-    scan_records_to_json,
     short_period_set,
     verify_bounds,
     write_dispersive_csv,
     write_profile_csv,
     write_scan_csv,
+    write_table,
 )
 from catlab.quantize import build_propagator
 from catlab.spectral import (
@@ -240,6 +240,17 @@ class TestDispersive:
         with pytest.raises(ValueError, match="odd N, got 4"):
             dispersive_scan(A, [401, 4], 40)
 
+    def test_drift_past_bound_ends_n_with_error_row(self, monkeypatch):
+        monkeypatch.setattr(experiments, "DRIFT_TOL", 0.0)
+        records = dispersive_scan(A, [15, 17], 3)
+        assert [(r.N, r.j, r.norm_1_inf, r.bound) for r in records] == [
+            (15, 1, None, None),
+            (17, 1, None, None),
+        ]
+        assert records[0].error.startswith("unitarity drift")
+        assert records[0].error.endswith("at j=1")
+        assert list(records[0].to_dict()) == [*DISPERSIVE_FIELDS, "error"]
+
 
 class TestVerifyBounds:
     def test_lower_bound_on_flagged_records(self, records_3_31):
@@ -327,9 +338,26 @@ class TestSerialization:
         assert parsed[0].error is not None
 
     def test_scan_json_fields(self, records_3_31):
-        payload = scan_records_to_json(records_3_31)
+        payload = [r.to_dict() for r in records_3_31]
         assert set(payload[0]) == set(SCAN_FIELDS)
         assert payload[0]["N"] == 3
+
+    def test_table_cell_format(self):
+        fh = io.StringIO()
+        rows = [
+            (None, True, np.float64(0.1), np.int64(7), "odd_N"),
+            (1, False, 2.5, -3, ""),
+        ]
+        write_table(("a", "b", "c", "d", "e"), rows, fh)
+        assert fh.getvalue() == "a,b,c,d,e\n,true,0.1,7,odd_N\n1,false,2.5,-3,\n"
+
+    def test_read_rejects_is_bdb_other_than_true_or_false(self, records_3_31):
+        fh = io.StringIO()
+        write_scan_csv(records_3_31, fh)
+        # N=3 on line 2 is not flagged; N=5 on line 3 is
+        text = fh.getvalue().replace(",true,", ",True,")
+        with pytest.raises(ValueError, match="line 3: is_bdb must be true or false"):
+            read_scan_csv(io.StringIO(text))
 
     def test_dispersive_csv(self):
         records = dispersive_scan(A, [5], 2)

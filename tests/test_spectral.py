@@ -93,8 +93,15 @@ class TestEigendecompose:
         assert np.abs(cubes - cubes[0]).max() < 1e-10
 
     def test_rejects_nonunitary(self):
-        with pytest.raises(ResidualError):
+        match = "N=2: eigenvalue modulus strays from the unit circle by 1.000e\\+00"
+        with pytest.raises(ResidualError, match=match):
             eigendecompose(np.diag([2.0, 0.5]))
+
+    def test_residual_failure_names_n_value_and_bound(self):
+        # a Jordan block: its Schur vectors are not eigenvectors
+        match = "N=2: eigenpair residual 1.000e\\+00 exceeds 1.414e-08"
+        with pytest.raises(ResidualError, match=match):
+            eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestClustering:
@@ -140,7 +147,8 @@ class TestClustering:
     def test_ambiguous_snap_raises(self):
         values = np.exp(2j * np.pi * np.arange(3) / 3)
         report = synthetic_report(values)
-        with pytest.raises(AmbiguousClusterError):
+        match = "N=3: eigenvalue 0 lies 2.094e\\+00 from a second period-3 root"
+        with pytest.raises(AmbiguousClusterError, match=match):
             cluster_eigenvalues(report, n=3, lam=1.01, tol=1.1)
 
     def test_snap_rejects_eigenvalue_off_its_root(self, prop5):
@@ -154,8 +162,14 @@ class TestClustering:
 
     def test_snap_rejects_wrong_period(self, prop5):
         report = eigendecompose(prop5)
-        with pytest.raises(ResidualError, match="scalar"):
+        with pytest.raises(ResidualError, match="N=5: matrix power 2 is not scalar"):
             cluster_eigenvalues(report, n=2, lam=LAM)
+
+    def test_snap_rejects_scalar_power_off_the_unit_circle(self):
+        report = synthetic_report(0.5 * np.ones(3))
+        match = "N=3: scalar matrix power 1 strays from the unit circle by 5.000e-01"
+        with pytest.raises(ResidualError, match=match):
+            cluster_eigenvalues(report, n=1)
 
     def test_rejects_bad_tolerance(self, prop5):
         report = eigendecompose(prop5)
