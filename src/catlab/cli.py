@@ -305,10 +305,30 @@ def cmd_dispersive(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+# verify flags that only steer the rescan --records replaces.
+_RESCAN_ONLY = ("tol_unitarity", "tol_cluster", "allow_even_n", "jobs")
+
+
+def cmd_verify(cfg: RunConfig, flags: frozenset[str]) -> int:
+    """Check the envelope bounds on a rescan, or on --records.
+
+    flags names the fields set on the command line. With --records,
+    --n-min/--n-max select the rows read, and a rescan-only flag is a
+    usage error; config-file values of those keys are ignored.
+    """
     if cfg.records:
+        clash = ["--" + f.replace("_", "-") for f in _RESCAN_ONLY if f in flags]
+        if clash:
+            raise UsageError(
+                "--records replaces the rescan that %s would steer" % ", ".join(clash)
+            )
         with open(cfg.records, "r", encoding="utf-8") as fh:
-            records = experiments.read_scan_csv(fh)
+            records = [
+                r
+                for r in experiments.read_scan_csv(fh)
+                if ("n_min" not in flags or r.N >= cfg.n_min)
+                and ("n_max" not in flags or r.N <= cfg.n_max)
+            ]
     else:
         records = _scan(cfg)
     payload = experiments.verify_bounds(records, eps=cfg.epsilon).to_dict()
@@ -319,6 +339,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
+# verify also reads which flags the command line set; main calls it directly.
 _COMMANDS = {
     "classify": cmd_classify,
     "sequence": cmd_sequence,
@@ -328,8 +349,18 @@ _COMMANDS = {
     "scan": cmd_scan,
     "profile": cmd_profile,
     "dispersive": cmd_dispersive,
-    "verify": cmd_verify,
 }
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: reports an argument it does not take with
+    its own usage, where the root parser would show the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
 
 
 def _flag(*args, **kwargs) -> argparse.ArgumentParser:
@@ -376,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog=PROG,
         description="Numerical laboratory for quantized hyperbolic torus maps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
     for command, help_text, flags in (
         ("classify", "classify a matrix", []),
         ("sequence", "short-period modulus sequence", [count]),
@@ -413,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RunConfig.from_sources(cli_values, config)
         if cfg.format == "binary" and args.command != "propagator":
             raise UsageError("format binary applies only to propagator")
+        if args.command == "verify":
+            flags = frozenset(k for k, v in cli_values.items() if v is not None)
+            return cmd_verify(cfg, flags)
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print("%s: usage error: %s" % (PROG, exc), file=sys.stderr)

@@ -330,7 +330,8 @@ def dispersive_scan(
                         j=j,
                         norm_1_inf=None,
                         bound=None,
-                        error="unitarity drift %.3e at j=%d" % (drift, j),
+                        error="dispersive power M^%d at N=%d: unitarity drift"
+                        " %.3e exceeds DRIFT_TOL %.3e" % (j, N, drift, DRIFT_TOL),
                     )
                 )
                 break

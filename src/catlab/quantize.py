@@ -101,6 +101,12 @@ class TrigPolynomial:
                     )
 
 
+# Rows of the propagator per block of the kernel's r-sum. A block's
+# index and term scratch (16 N entries each) stays in cache across the r
+# loop, and the build allocates no N x N array besides its result.
+_KERNEL_ROWS = 16
+
+
 def _phase_grid(numerators: np.ndarray, L: int) -> np.ndarray:
     """exp(2*pi*i * numerators/L) with the integer numerators reduced mod L."""
     reduced = np.mod(numerators, L)
@@ -118,6 +124,17 @@ def build_propagator(
     entries[k, j] = (N|b|)^(-1/2) * sum over r < |b| of
     exp((2*pi*i/b) * (a*N*r^2/2 + a*r*j + a*j^2/(2N) + d*k^2/(2N) - k*r - k*j/N)),
     evaluated with the rational phase reduced mod 1 in exact integers.
+    With L = 2|b|N every term is exp(2*pi*i * v/L) for an integer v in
+    [0, L), so the terms are looked up in one table of the L roots of
+    unity, made once by the same elementwise expression (_phase_grid) that
+    would evaluate each term directly. The integer v is exact whatever
+    order its parts are reduced in, so each term is the same double as a
+    direct exp, added in the same r order: the entries are bit-identical
+    to the per-term evaluation, at one table gather and one add per term
+    instead of a complex exp. The sum runs over blocks of _KERNEL_ROWS
+    rows, so the integer phases and gathered terms never fill an N x N
+    scratch array.
+
     The result is certified unitary (max-norm residual <= unitarity_tol *
     sqrt(N)), and for odd N every entry is checked against the dispersive
     bound sqrt(|b|/N).
@@ -141,35 +158,50 @@ def build_propagator(
     L = 2 * absb * N
 
     j = np.arange(N, dtype=np.int64)
-    k = j[:, None]
     # Reduce coefficients mod L first so every int64 product below stays
     # far from overflow even for large map entries.
     aL = a % L
     dL = d % L
     jline = (aL * j * j) % L
-    kline = (dL * k * k) % L
+    table = _phase_grid(np.arange(L), L)
+    # The numerator's per-r parts that depend on j alone and on k alone,
+    # each reduced mod L.
+    jparts = [
+        np.mod(sign * ((a * N * N * r * r) % L + ((2 * a * N * r) % L) * j), L)
+        for r in range(absb)
+    ]
+    kparts = [np.mod(-sign * ((2 * N * r) % L) * j, L) for r in range(absb)]
     matrix = np.zeros((N, N), dtype=np.complex128)
-    for r in range(absb):
-        const = (a * N * N * r * r) % L
-        rj = ((2 * a * N * r) % L) * j
-        rk = ((2 * N * r) % L) * k
-        numer = const + rj + jline + kline - rk - 2 * k * j
-        matrix += _phase_grid(sign * numer, L)
+    for k0 in range(0, N, _KERNEL_ROWS):
+        block = slice(k0, k0 + _KERNEL_ROWS)
+        k = j[block, None]
+        # The r-independent part, reduced mod L: with the two per-r parts
+        # the numerator lies in [0, 3L), which take's wrap mode maps onto
+        # the table without a mod over the block.
+        base = np.mod(sign * (jline + (dL * k * k) % L - 2 * k * j), L)
+        index = np.empty_like(base)
+        term = np.empty(base.shape, dtype=np.complex128)
+        rows = matrix[block]
+        for jpart, kpart in zip(jparts, kparts):
+            np.add(base, jpart, out=index)
+            index += kpart[block, None]
+            np.take(table, index, out=term, mode="wrap")
+            rows += term
     matrix /= np.sqrt(N * absb)
 
     residual = float(np.abs(matrix.conj().T @ matrix - np.eye(N)).max())
     if residual > unitarity_tol * np.sqrt(N):
         raise CertificationError(
-            "unitarity residual %.3e exceeds %.3e at N=%d"
-            % (residual, unitarity_tol * np.sqrt(N), N)
+            "propagator build at N=%d: unitarity residual %.3e exceeds %.3e"
+            % (N, residual, unitarity_tol * np.sqrt(N))
         )
     if N % 2 == 1:
         bound = np.sqrt(absb / N) + 1e-9
         worst = float(np.abs(matrix).max())
         if worst > bound:
             raise CertificationError(
-                "entry modulus %.12f exceeds sqrt(|b|/N) bound %.12f at N=%d"
-                % (worst, bound, N)
+                "propagator build at N=%d: entry modulus %.12f exceeds"
+                " sqrt(|b|/N) bound %.12f" % (N, worst, bound)
             )
     return Propagator(N=N, A=A, entries=matrix, unitarity_residual=residual)
 
@@ -254,17 +286,16 @@ def write_matrix_binary(matrix: np.ndarray, fh: IO[bytes]) -> None:
     """Dump a square complex matrix in the CATM binary format.
 
     16-byte header (magic "CATM", u32 N, u32 reserved, zero padding)
-    followed by row-major little-endian float64 interleaved re/im.
+    followed by row-major little-endian float64 interleaved re/im, which
+    is the memory layout of a C-contiguous little-endian complex128
+    matrix: a propagator's entries are written without a copy.
     """
-    matrix = np.asarray(matrix)
+    matrix = np.ascontiguousarray(matrix, dtype="<c16")
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("binary dump expects a square matrix")
     fh.write(_HEADER.pack(MATRIX_MAGIC, n, 0))
-    interleaved = np.empty((n, n, 2), dtype="<f8")
-    interleaved[:, :, 0] = matrix.real
-    interleaved[:, :, 1] = matrix.imag
-    fh.write(interleaved.tobytes(order="C"))
+    fh.write(memoryview(matrix).cast("B"))
 
 
 def read_matrix_binary(fh: IO[bytes]) -> np.ndarray:
@@ -273,5 +304,5 @@ def read_matrix_binary(fh: IO[bytes]) -> np.ndarray:
     magic, n, _reserved = _HEADER.unpack(header)
     if magic != MATRIX_MAGIC:
         raise ValueError("bad magic %r in matrix dump" % magic)
-    raw = np.frombuffer(fh.read(16 * n * n), dtype="<f8").reshape(n, n, 2)
-    return (raw[:, :, 0] + 1j * raw[:, :, 1]).astype(np.complex128)
+    raw = np.frombuffer(fh.read(16 * n * n), dtype="<c16").reshape(n, n)
+    return raw.astype(np.complex128)

@@ -146,14 +146,18 @@ class TestSpectrum:
         code, out, err = run(capsys, "spectrum", "--n", "31", "--tol-unitarity", "1e-30")
         assert code == 4
         assert out == ""
-        assert err.startswith("catlab: certification failed: unitarity residual")
+        assert err.startswith(
+            "catlab: certification failed: propagator build at N=31: unitarity residual"
+        )
         assert len(err.splitlines()) == 1
 
     def test_module_entry_point_exit_code(self, run_cli_module):
         done = run_cli_module("spectrum", "--n", "31", "--tol-unitarity", "1e-30")
         assert done.returncode == 4
         assert done.stdout == ""
-        assert done.stderr.startswith("catlab: certification failed: unitarity residual")
+        assert done.stderr.startswith(
+            "catlab: certification failed: propagator build at N=31: unitarity residual"
+        )
 
 
 class TestScanCommand:
@@ -265,6 +269,52 @@ class TestVerifyCommand:
         assert {c["N"] for c in payload["lower"]} == {5, 19}
         assert all(c["ok"] for c in payload["lower"])
 
+    def test_records_filtered_by_n_range(self, capsys, tmp_path):
+        csv_path = tmp_path / "scan.csv"
+        run(capsys, "scan", "--n-min", "3", "--n-max", "31", "--out", str(csv_path))
+        code, out, _ = run(
+            capsys, "verify", "--records", str(csv_path), "--n-min", "15",
+            "--n-max", "21", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert [c["N"] for c in payload["lower"]] == [19]
+        assert [c["N"] for c in payload["upper"]] == [15, 17, 19, 21]
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--jobs", "2"],
+            ["--tol-unitarity", "1e-6"],
+            ["--tol-cluster", "1e-5"],
+            ["--allow-even-n"],
+        ],
+    )
+    def test_records_reject_rescan_only_flags(self, capsys, tmp_path, flag):
+        # the flags are rejected before the records file is opened
+        missing = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "verify", "--records", str(missing), *flag)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "catlab: usage error: --records replaces the rescan that %s would steer\n"
+            % flag[0]
+        )
+
+    def test_records_ignore_rescan_only_config_keys(self, capsys, tmp_path):
+        csv_path = tmp_path / "scan.csv"
+        run(capsys, "scan", "--n-min", "3", "--n-max", "7", "--out", str(csv_path))
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"jobs": 2, "tol_cluster": 1e-5, "allow_even_n": True, "n_min": 5})
+        )
+        code, out, _ = run(
+            capsys, "verify", "--records", str(csv_path), "--config", str(config),
+            "--format", "json",
+        )
+        assert code == 0
+        assert [c["N"] for c in json.loads(out)["upper"]] == [3, 5, 7]
+
     def test_recompute_with_epsilon(self, capsys):
         code, out, _ = run(
             capsys,
@@ -375,7 +425,9 @@ class TestFlagsPerCommand:
         with pytest.raises(SystemExit) as err:
             main([arg.format(tmp=tmp_path) for arg in argv])
         assert err.value.code == 2
-        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: catlab %s " % argv[0])
+        assert "catlab %s: error: unrecognized arguments: %s" % (argv[0], flag) in stderr
         assert list(tmp_path.iterdir()) == []
 
 

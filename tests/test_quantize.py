@@ -101,6 +101,66 @@ class TestTranslations:
         assert np.allclose(T.entries.conj().T, translation_matrix(-3, -2, 7).entries)
 
 
+def exp_per_term_entries(M: CatMatrix, N: int) -> np.ndarray:
+    """The kernel's r-sum with one complex exp per entry per r.
+
+    The direct evaluation build_propagator's root-of-unity table replaces;
+    kept as the oracle its entries must match bit for bit.
+    """
+    a, b, d = M.a, M.b, M.d
+    absb = abs(b)
+    sign = 1 if b > 0 else -1
+    L = 2 * absb * N
+    j = np.arange(N, dtype=np.int64)
+    k = j[:, None]
+    aL = a % L
+    dL = d % L
+    jline = (aL * j * j) % L
+    kline = (dL * k * k) % L
+    matrix = np.zeros((N, N), dtype=np.complex128)
+    for r in range(absb):
+        const = (a * N * N * r * r) % L
+        rj = ((2 * a * N * r) % L) * j
+        rk = ((2 * N * r) % L) * k
+        numer = const + rj + jline + kline - rk - 2 * k * j
+        matrix += np.exp((2j * np.pi / L) * np.mod(sign * numer, L))
+    matrix /= np.sqrt(N * absb)
+    return matrix
+
+
+# Maps with |b| = 1 and 3 whose a and d lie far outside int64: the build
+# must reduce them mod L before any array arithmetic.
+HUGE_B1 = CatMatrix(2 * 10**30 + 6, 1, (2 * 10**30 + 6) * 10**20 - 1, 10**20)
+HUGE_B3 = CatMatrix(10**30, -3, (1 - 10**30 * 4 * 10**20) // 3, 4 * 10**20)
+
+
+class TestBuildMatchesExpPerTerm:
+    @pytest.mark.parametrize(
+        "matrix,N",
+        [
+            (A2, 1),
+            (A2, 7),
+            (CatMatrix(2, -1, -3, 2), 9),
+            (A, 1),
+            (CatMatrix(2, -3, -1, 2), 5),
+            *((A, N) for N in (15, 39, 65, 165, 195)),
+            *((CatMatrix(2, -3, -1, 2), N) for N in (15, 39, 65, 165, 195)),
+            (CatMatrix(26, 45, 15, 26), 1),
+            (CatMatrix(26, 45, 15, 26), 31),
+            (CatMatrix(26, -45, -15, 26), 33),
+            (HUGE_B1, 9),
+            (HUGE_B3, 25),
+            (A, 2),
+            (A, 8),
+            (CatMatrix(26, -45, -15, 26), 10),
+        ],
+    )
+    def test_bit_identical(self, matrix, N):
+        entries = build_propagator(matrix, N, allow_even=True).entries
+        expected = exp_per_term_entries(matrix, N)
+        assert np.array_equal(entries.view(np.float64), expected.view(np.float64))
+
+
 class TestPropagator:
     @pytest.mark.parametrize("matrix", [A, A2])
     @pytest.mark.parametrize("N", [1, 3, 5, 7, 9, 15, 33])
@@ -261,6 +321,22 @@ class TestMatrixExport:
         buf.seek(0)
         restored = read_matrix_binary(buf)
         assert np.array_equal(restored, prop.entries)
+
+    def test_binary_bytes_are_interleaved_float64(self):
+        matrix = build_propagator(A, 5).entries.copy()
+        matrix[0, 1] = complex(-0.0, np.inf)
+        matrix[2, 3] = complex(np.nan, -0.0)
+        for m in (matrix, matrix.T, matrix.real, matrix.astype(">c16")):
+            buf = io.BytesIO()
+            write_matrix_binary(m, buf)
+            interleaved = np.empty(m.shape + (2,), dtype="<f8")
+            interleaved[:, :, 0] = m.real
+            interleaved[:, :, 1] = m.imag
+            assert buf.getvalue()[16:] == interleaved.tobytes(order="C")
+            buf.seek(0)
+            restored = read_matrix_binary(buf)
+            expected = np.ascontiguousarray(m, dtype=np.complex128)
+            assert restored.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_binary_rejects_bad_magic(self):
         with pytest.raises(ValueError):
