@@ -20,12 +20,9 @@ from .arith import (
     validate_catmap,
 )
 from .quantize import (
-    LatticeTranslation,
     Propagator,
-    TrigPolynomial,
     build_propagator,
     egorov_defect,
-    quantize_observable,
     translation_matrix,
 )
 from .spectral import (
@@ -56,13 +53,11 @@ __all__ = [
     "AdmissibilityReport",
     "CatMatrix",
     "DispersiveRecord",
-    "LatticeTranslation",
     "ParityRule",
     "PeriodRecord",
     "Propagator",
     "ScanRecord",
     "SpectrumReport",
-    "TrigPolynomial",
     "averaging_operator",
     "build_propagator",
     "cluster_eigenvalues",
@@ -79,7 +74,6 @@ __all__ = [
     "p_sequence",
     "period_modulus",
     "projector",
-    "quantize_observable",
     "quantum_period",
     "scan_supnorms",
     "short_period_sequence",

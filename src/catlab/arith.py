@@ -41,10 +41,6 @@ class CatMatrix:
     def trace(self) -> int:
         return self.a + self.d
 
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
     def __matmul__(self, other: "CatMatrix") -> "CatMatrix":
         return CatMatrix(
             self.a * other.a + self.b * other.c,
@@ -55,9 +51,6 @@ class CatMatrix:
 
     def mod(self, n: int) -> "CatMatrix":
         return CatMatrix(self.a % n, self.b % n, self.c % n, self.d % n)
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
 
 IDENTITY = CatMatrix(1, 0, 0, 1)
@@ -92,9 +85,6 @@ class AdmissibilityReport:
     lam: float | None
     failure_reasons: tuple[str, ...]
     eligibility_failures: tuple[str, ...]
-
-    def matrix(self) -> CatMatrix:
-        return CatMatrix(self.a, self.b, self.c, self.d)
 
     def to_dict(self) -> dict:
         return {

@@ -6,8 +6,8 @@ file or stdout, and emits optional SVG plots. Identical configuration
 yields byte-identical output.
 
 Exit codes: 0 success, 1 domain rejection, 2 usage error, 3 I/O error,
-4 certification failure (a propagator, eigensystem or clustering check
-exceeded its bound).
+4 certification failure (a propagator, eigensystem, clustering or profile
+normalization check exceeded its bound).
 """
 
 from __future__ import annotations
@@ -459,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print("%s: i/o error: %s" % (PROG, exc), file=sys.stderr)
         return 3
-    except experiments.CERTIFICATION_ERRORS as exc:
+    except quantize.CertificationError as exc:
         print("%s: certification failed: %s" % (PROG, exc), file=sys.stderr)
         return 4
 

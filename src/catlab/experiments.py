@@ -25,11 +25,10 @@ from .arith import (
     period_modulus,
     quantum_period,
     require_quantizable,
+    validate_catmap,
 )
 from .quantize import CertificationError, build_propagator
 from .spectral import (
-    AmbiguousClusterError,
-    ResidualError,
     SpectrumReport,
     cluster_eigenvalues,
     eigendecompose,
@@ -42,7 +41,6 @@ __all__ = [
     "DispersiveRecord",
     "BoundCheck",
     "BoundsReport",
-    "CERTIFICATION_ERRORS",
     "SCAN_FIELDS",
     "DISPERSIVE_FIELDS",
     "PROFILE_FIELDS",
@@ -126,8 +124,11 @@ def _envelopes(N: int, lam: float) -> tuple[float, float, float]:
 
 
 def short_period_set(A: CatMatrix, n_max: int) -> dict[int, int]:
-    """All short-period moduli N_k <= n_max mapped to their periods t_k."""
+    """All short-period moduli N_k <= n_max mapped to their periods t_k;
+    empty for a map outside the short-period hypotheses."""
     result: dict[int, int] = {}
+    if not validate_catmap(A.a, A.b, A.c, A.d).short_period_eligible:
+        return result
     k = 1
     while True:
         modulus = period_modulus(A, 2 * k + 1)
@@ -196,10 +197,9 @@ def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[
         return list(results)
 
 
-# Failed certification checks. Sweeps record these and domain rejections
+# Sweeps record failed certification checks and domain rejections
 # (ValueError, which covers LinAlgError) as error rows; bugs propagate.
-CERTIFICATION_ERRORS = (CertificationError, ResidualError, AmbiguousClusterError)
-_ROW_ERRORS = (ValueError, *CERTIFICATION_ERRORS)
+_ROW_ERRORS = (ValueError, CertificationError)
 # Certification bound on the unitarity drift max|P^H P - I| of each
 # propagator power P in dispersive_scan.
 DRIFT_TOL = 1e-7
@@ -285,13 +285,20 @@ def eigenfunction_profile(
     unitarity_tol: float = 1e-9,
     allow_even: bool = False,
 ) -> np.ndarray:
-    """Coordinate moduli |u_i| of a maximal-sup-norm witness eigenfunction."""
+    """Coordinate moduli |u_i| of a maximal-sup-norm witness eigenfunction.
+
+    Raises CertificationError when the witness's squared l2 norm is off
+    1 by more than 1e-10.
+    """
     _, report = clustered_spectrum(A, N, cluster_tol, unitarity_tol, allow_even)
     result = supnorm_summary(report)
     profile = np.abs(result.witness)
-    total = float(np.sum(profile**2))
-    if abs(total - 1.0) > 1e-10:
-        raise AssertionError("witness normalization drifted: %r" % total)
+    drift = abs(float(np.sum(profile**2)) - 1.0)
+    if drift > 1e-10:
+        raise CertificationError(
+            "eigenfunction profile at N=%d: witness normalization drift %.3e"
+            " exceeds %.3e" % (N, drift, 1e-10)
+        )
     return profile
 
 
@@ -362,9 +369,6 @@ class BoundCheck:
     value: float
     threshold: float
     ok: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 The state space for inverse Planck constant 2*pi*N is identified with C^N
 through the delta-comb basis {e_j}. This module builds the propagator
-matrix of a hyperbolic torus map, the lattice translation unitaries, and
-Weyl quantizations of trigonometric polynomials, and certifies the
-construction through unitarity, the entry bound sqrt(|b|/N), and the
-exact intertwining of translations (the decisive oracle: it pins down
-both the kernel formula and the basis phase convention at once).
+matrix of a hyperbolic torus map and the lattice translation unitaries,
+and certifies the construction through unitarity, the entry bound
+sqrt(|b|/N), and the exact intertwining of translations (the decisive
+oracle: it pins down both the kernel formula and the basis phase
+convention at once).
 
 Phase bookkeeping is exact: every phase below is exp(2*pi*i * v/L) with
 integers v, L reduced mod L before any float conversion, so large
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
@@ -26,11 +26,8 @@ from .arith import CatMatrix, require_quantizable
 __all__ = [
     "CertificationError",
     "Propagator",
-    "LatticeTranslation",
-    "TrigPolynomial",
     "build_propagator",
     "translation_matrix",
-    "quantize_observable",
     "egorov_defect",
     "write_matrix_csv",
     "write_matrix_binary",
@@ -43,7 +40,7 @@ _HEADER = struct.Struct("<4sII4x")
 
 
 class CertificationError(RuntimeError):
-    """A constructed matrix failed one of its certification bounds."""
+    """A certification check exceeded its bound (spectral's errors derive from it)."""
 
 
 @dataclass(frozen=True)
@@ -64,41 +61,6 @@ class Propagator:
     @property
     def h(self) -> float:
         return 1.0 / (2.0 * np.pi * self.N)
-
-
-@dataclass(frozen=True)
-class LatticeTranslation:
-    """Quantum translation by (p/N, q/N) restricted to the N-dimensional space.
-
-    A shift-and-modulate unitary: basis vector j maps to basis vector
-    (j + p) mod N with phase exp(i*pi*(p*q + 2*q*j)/N).
-    """
-
-    p: int
-    q: int
-    N: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """Trigonometric polynomial sum of coeffs[(m, n)] * exp(2*pi*i*(m*x + n*xi)).
-
-    With real=True the coefficient symmetry of a real-valued function,
-    coeffs[-m, -n] == conj(coeffs[m, n]), is checked at construction.
-    """
-
-    coeffs: Mapping[tuple[int, int], complex]
-    real: bool = False
-
-    def __post_init__(self):
-        if self.real:
-            for (m, n), value in self.coeffs.items():
-                mirror = self.coeffs.get((-m, -n), 0.0)
-                if abs(np.conj(complex(value)) - complex(mirror)) > 1e-12:
-                    raise ValueError(
-                        "coefficient at (%d, %d) breaks real-valuedness" % (m, n)
-                    )
 
 
 # Rows of the propagator per block of the kernel's r-sum. A block's
@@ -206,8 +168,8 @@ def build_propagator(
     return Propagator(N=N, A=A, entries=matrix, unitarity_residual=residual)
 
 
-def translation_matrix(p: int, q: int, N: int) -> LatticeTranslation:
-    """Quantum translation by the lattice vector (p/N, q/N).
+def translation_matrix(p: int, q: int, N: int) -> np.ndarray:
+    """Quantum translation by the lattice vector (p/N, q/N), an N x N unitary.
 
     Derived once by applying the translation operator to the delta-comb
     basis: e_j picks up phase exp(i*pi*(p*q + 2*q*j)/N) and moves to
@@ -223,33 +185,7 @@ def translation_matrix(p: int, q: int, N: int) -> LatticeTranslation:
     phases = _phase_grid(pq + q2 * j, L)
     entries = np.zeros((N, N), dtype=np.complex128)
     entries[(j + shift) % N, j] = phases
-    return LatticeTranslation(p=p, q=q, N=N, entries=entries)
-
-
-def _coefficients(a: TrigPolynomial | Mapping[tuple[int, int], complex]):
-    if isinstance(a, TrigPolynomial):
-        return a.coeffs
-    return a
-
-
-def quantize_observable(
-    a: TrigPolynomial | Mapping[tuple[int, int], complex], N: int
-) -> np.ndarray:
-    """Weyl quantization of a trigonometric polynomial as an N x N matrix.
-
-    The Fourier mode exp(2*pi*i*(m*x + n*xi)) quantizes to the lattice
-    translation with (p, q) = (-n, m), so the operator is the coefficient-
-    weighted sum of translation matrices. Linear in the coefficients and
-    Hermitian for real-valued polynomials.
-    """
-    coeffs = _coefficients(a)
-    result = np.zeros((N, N), dtype=np.complex128)
-    for (m, n) in sorted(coeffs):
-        value = complex(coeffs[(m, n)])
-        if value == 0:
-            continue
-        result += value * translation_matrix(-n, m, N).entries
-    return result
+    return entries
 
 
 def egorov_defect(M: Propagator) -> float:
@@ -264,8 +200,8 @@ def egorov_defect(M: Propagator) -> float:
     Minv = M.entries.conj().T
     worst = 0.0
     for (p, q) in ((1, 0), (0, 1)):
-        U = translation_matrix(p, q, N).entries
-        target = translation_matrix(A.d * p - A.b * q, -A.c * p + A.a * q, N).entries
+        U = translation_matrix(p, q, N)
+        target = translation_matrix(A.d * p - A.b * q, -A.c * p + A.a * q, N)
         defect = float(np.linalg.norm(Minv @ U @ M.entries - target, 2))
         worst = max(worst, defect)
     return worst
@@ -299,10 +235,23 @@ def write_matrix_binary(matrix: np.ndarray, fh: IO[bytes]) -> None:
 
 
 def read_matrix_binary(fh: IO[bytes]) -> np.ndarray:
-    """Read a matrix written by write_matrix_binary."""
+    """Read a matrix written by write_matrix_binary.
+
+    Raises ValueError on a bad magic, or on a header or payload whose
+    byte count is not the one the format and N fix.
+    """
     header = fh.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise ValueError(
+            "matrix dump header has %d bytes, expected %d" % (len(header), _HEADER.size)
+        )
     magic, n, _reserved = _HEADER.unpack(header)
     if magic != MATRIX_MAGIC:
         raise ValueError("bad magic %r in matrix dump" % magic)
-    raw = np.frombuffer(fh.read(16 * n * n), dtype="<c16").reshape(n, n)
-    return raw.astype(np.complex128)
+    payload = fh.read()
+    if len(payload) != 16 * n * n:
+        raise ValueError(
+            "matrix dump with N=%d has %d payload bytes, expected %d"
+            % (n, len(payload), 16 * n * n)
+        )
+    return np.frombuffer(payload, dtype="<c16").reshape(n, n).astype(np.complex128)

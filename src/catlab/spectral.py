@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .quantize import Propagator
+from .quantize import CertificationError, Propagator
 
 __all__ = [
     "ResidualError",
@@ -47,11 +47,11 @@ MODULUS_TOL = 1e-8
 SCALAR_TOL = 1e-7
 
 
-class ResidualError(RuntimeError):
+class ResidualError(CertificationError):
     """Eigensystem residuals (or eigenvalue moduli) exceeded certification bounds."""
 
 
-class AmbiguousClusterError(RuntimeError):
+class AmbiguousClusterError(CertificationError):
     """An eigenvalue sits too close to two different cluster representatives,
     or farther than the tolerance from the nearest one."""
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import catlab
+from catlab import experiments
 from catlab.arith import CatMatrix, validate_catmap
 from catlab.experiments import clustered_spectrum, process_map
 from catlab.spectral import supnorm_summary
@@ -110,3 +111,15 @@ def run_cli_module():
         )
 
     return run
+
+
+@pytest.fixture
+def drifted_witness(monkeypatch):
+    """Scale the witness supnorm_summary hands to the profile driver by
+    1.01, so its squared norm misses 1 by 2.01e-2."""
+
+    def drifted(report):
+        result = supnorm_summary(report)
+        return result._replace(witness=1.01 * result.witness)
+
+    monkeypatch.setattr(experiments, "supnorm_summary", drifted)

@@ -5,9 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from catlab import spectral
 from catlab.cli import RunConfig, main
 from catlab.experiments import _fmt
 from catlab.quantize import read_matrix_binary
+
+
+# Quantizable, but gcd(b, c) = 15 fails the short-period hypotheses.
+INELIGIBLE = ("-a", "26", "-b", "45", "-c", "15", "-d", "26")
 
 
 def run(capsys, *argv):
@@ -151,6 +156,22 @@ class TestSpectrum:
         )
         assert len(err.splitlines()) == 1
 
+    def test_clustering_failure_exit_code(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--n", "71", "--tol-cluster", "10")
+        assert (code, out) == (4, "")
+        assert err.startswith(
+            "catlab: certification failed: N=71: eigenvalue 0 lies 8.976e-01"
+            " from a second period-7 root"
+        )
+
+    def test_eigensystem_failure_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "MODULUS_TOL", -1.0)
+        code, out, err = run(capsys, "spectrum", "--n", "5")
+        assert (code, out) == (4, "")
+        assert err.startswith(
+            "catlab: certification failed: N=5: eigenvalue modulus strays"
+        )
+
     def test_module_entry_point_exit_code(self, run_cli_module):
         done = run_cli_module("spectrum", "--n", "31", "--tol-unitarity", "1e-30")
         assert done.returncode == 4
@@ -219,6 +240,15 @@ class TestScanCommand:
         assert payload[0]["N"] == 5
         assert payload[0]["is_bdb"] is True
 
+    def test_map_outside_short_period_hypotheses(self, capsys):
+        code, out, err = run(
+            capsys, "scan", *INELIGIBLE, "--n-min", "3", "--n-max", "11", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [r["N"] for r in payload] == [3, 5, 7, 9, 11]
+        assert all(r["is_bdb"] is False and "error" not in r for r in payload)
+
 
 class TestProfileCommand:
     def test_csv(self, capsys):
@@ -233,6 +263,15 @@ class TestProfileCommand:
         code, _, _ = run(capsys, "profile", "--n", "19", "--svg", str(path))
         assert code == 0
         assert path.read_text().startswith("<svg ")
+
+    def test_normalization_failure_exit_code(self, capsys, drifted_witness):
+        code, out, err = run(capsys, "profile", "--n", "71")
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "catlab: certification failed: eigenfunction profile at N=71:"
+            " witness normalization drift 2.010e-02 exceeds 1.000e-10\n"
+        )
 
 
 class TestDispersiveCommand:
@@ -336,6 +375,17 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert [c["N"] for c in json.loads(out)["upper"]] == [4, 5, 6, 7, 8]
+
+    def test_map_outside_short_period_hypotheses(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", *INELIGIBLE, "--n-min", "3", "--n-max", "11",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lower_testable"] is False
+        assert payload["lower"] == []
+        assert [c["N"] for c in payload["upper"]] == [3, 5, 7, 9, 11]
 
 
 class TestConfigStack:

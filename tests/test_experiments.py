@@ -26,7 +26,7 @@ from catlab.experiments import (
     write_scan_csv,
     write_table,
 )
-from catlab.quantize import build_propagator
+from catlab.quantize import CertificationError, build_propagator
 from catlab.spectral import (
     cluster_eigenvalues,
     eigendecompose,
@@ -86,6 +86,10 @@ class TestShortPeriodSet:
 
     def test_empty_below_first(self):
         assert short_period_set(A, 4) == {}
+
+    def test_empty_outside_hypotheses(self):
+        # quantizable, but gcd(b, c) = 15 fails the short-period hypotheses
+        assert short_period_set(CatMatrix(26, 45, 15, 26), 10**6) == {}
 
 
 class TestScan:
@@ -211,6 +215,14 @@ class TestProfile:
         profile = eigenfunction_profile(A, 5)
         record = scan_supnorms(A, 5, 5)[0]
         assert float(profile.max()) == pytest.approx(record.max_supnorm, abs=1e-10)
+
+    def test_normalization_drift_is_certification_failure(self, drifted_witness):
+        with pytest.raises(
+            CertificationError,
+            match=r"^eigenfunction profile at N=71: witness normalization drift"
+            r" 2\.010e-02 exceeds 1\.000e-10$",
+        ):
+            eigenfunction_profile(A, 71)
 
 
 class TestDispersive:

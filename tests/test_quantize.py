@@ -19,10 +19,8 @@ from catlab.arith import CatMatrix, matrix_power, quantum_period
 from catlab.quantize import (
     CertificationError,
     Propagator,
-    TrigPolynomial,
     build_propagator,
     egorov_defect,
-    quantize_observable,
     read_matrix_binary,
     translation_matrix,
     write_matrix_csv,
@@ -36,7 +34,7 @@ A2 = CatMatrix(2, 1, 3, 2)
 def test_golden_translation_phases():
     # frozen from the delta-comb derivation: basis vector j shifts to
     # (j+p) mod N with phase exp(i*pi*(p*q + 2*q*j)/N)
-    T = translation_matrix(1, 1, 3).entries
+    T = translation_matrix(1, 1, 3)
     assert T[1, 0] == pytest.approx(np.exp(1j * np.pi / 3), abs=1e-14)
     assert T[2, 1] == pytest.approx(-1.0, abs=1e-14)
     assert T[0, 2] == pytest.approx(np.exp(-1j * np.pi / 3), abs=1e-14)
@@ -53,22 +51,22 @@ def test_golden_propagator_entries():
 
 class TestTranslations:
     def test_zero_is_identity(self):
-        assert np.allclose(translation_matrix(0, 0, 7).entries, np.eye(7))
+        assert np.allclose(translation_matrix(0, 0, 7), np.eye(7))
 
     def test_full_lattice_shift_is_identity(self):
         for N in (3, 5, 8):
-            assert np.allclose(translation_matrix(N, 0, N).entries, np.eye(N))
-            assert np.allclose(translation_matrix(0, N, N).entries, np.eye(N))
+            assert np.allclose(translation_matrix(N, 0, N), np.eye(N))
+            assert np.allclose(translation_matrix(0, N, N), np.eye(N))
 
     def test_diagonal_lattice_vector_sign(self):
         # translation by the integer vector (1, 1) acts as (-1)^N
         for N in (3, 4, 5, 8):
             expected = (-1.0) ** N * np.eye(N)
-            assert np.allclose(translation_matrix(N, N, N).entries, expected)
+            assert np.allclose(translation_matrix(N, N, N), expected)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 13])
     def test_unitary_permutation_structure(self, N):
-        T = translation_matrix(2, -3, N).entries
+        T = translation_matrix(2, -3, N)
         assert np.abs(T.conj().T @ T - np.eye(N)).max() < 1e-12 * math.sqrt(N)
         moduli = np.abs(T)
         assert ((moduli > 1e-12).sum(axis=0) == 1).all()
@@ -77,8 +75,8 @@ class TestTranslations:
 
     def test_commutator(self):
         for N in (3, 5, 8):
-            left = translation_matrix(1, 0, N).entries @ translation_matrix(0, 1, N).entries
-            right = translation_matrix(0, 1, N).entries @ translation_matrix(1, 0, N).entries
+            left = translation_matrix(1, 0, N) @ translation_matrix(0, 1, N)
+            right = translation_matrix(0, 1, N) @ translation_matrix(1, 0, N)
             assert np.allclose(left, np.exp(-2j * np.pi / N) * right, atol=1e-13)
 
     @given(
@@ -91,14 +89,14 @@ class TestTranslations:
     @settings(max_examples=80)
     def test_group_law(self, p, q, pp, qq, N):
         # composition picks up exp(i*pi*(q*pp - p*qq)/N)
-        lhs = translation_matrix(p, q, N).entries @ translation_matrix(pp, qq, N).entries
+        lhs = translation_matrix(p, q, N) @ translation_matrix(pp, qq, N)
         phase = np.exp(1j * np.pi * (q * pp - p * qq) / N)
-        rhs = phase * translation_matrix(p + pp, q + qq, N).entries
+        rhs = phase * translation_matrix(p + pp, q + qq, N)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_adjoint_is_inverse_translation(self):
         T = translation_matrix(3, 2, 7)
-        assert np.allclose(T.entries.conj().T, translation_matrix(-3, -2, 7).entries)
+        assert np.allclose(T.conj().T, translation_matrix(-3, -2, 7))
 
 
 def exp_per_term_entries(M: CatMatrix, N: int) -> np.ndarray:
@@ -240,68 +238,6 @@ class TestPropagator:
         assert egorov_defect(prop) <= 1e-8
 
 
-class TestQuantizeObservable:
-    def test_constant_is_identity(self):
-        op = quantize_observable({(0, 0): 1.0}, 6)
-        assert np.allclose(op, np.eye(6))
-
-    def test_cosine_position(self):
-        N = 7
-        op = quantize_observable({(1, 0): 0.5, (-1, 0): 0.5}, N)
-        expected = (
-            translation_matrix(0, 1, N).entries + translation_matrix(0, -1, N).entries
-        ) / 2
-        assert np.allclose(op, expected)
-        assert np.abs(op - op.conj().T).max() < 1e-14
-
-    def test_real_polynomial_hermitian(self):
-        coeffs = {
-            (1, 2): 0.3 + 0.1j,
-            (-1, -2): 0.3 - 0.1j,
-            (2, -1): -0.2j,
-            (-2, 1): 0.2j,
-            (0, 0): 0.7,
-        }
-        op = quantize_observable(TrigPolynomial(coeffs, real=True), 9)
-        assert np.abs(op - op.conj().T).max() < 1e-13
-
-    def test_real_flag_validation(self):
-        with pytest.raises(ValueError):
-            TrigPolynomial({(1, 0): 1.0, (-1, 0): 0.5}, real=True)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(7)
-        N = 8
-        keys = [(1, 0), (0, 1), (2, -1), (-1, 3)]
-        f = {k: complex(*rng.normal(size=2)) for k in keys}
-        g = {k: complex(*rng.normal(size=2)) for k in keys}
-        alpha, beta = 1.7 - 0.3j, -0.8 + 2.1j
-        combined = {k: alpha * f[k] + beta * g[k] for k in keys}
-        direct = quantize_observable(combined, N)
-        split = alpha * quantize_observable(f, N) + beta * quantize_observable(g, N)
-        assert np.abs(direct - split).max() < 1e-12
-
-    def test_norm_bounded_by_coefficient_mass(self):
-        coeffs = {(1, 0): 0.5, (-1, 0): 0.5, (3, 2): 1.25j, (0, 1): -2.0}
-        op = quantize_observable(coeffs, 11)
-        mass = sum(abs(v) for v in coeffs.values())
-        assert np.linalg.norm(op, 2) <= mass + 1e-12
-
-    def test_exact_egorov_for_observables(self):
-        # conjugation by the propagator composes the symbol with the map:
-        # mode (m, n) goes to (a*m + c*n, b*m + d*n)
-        N = 9
-        prop = build_propagator(A, N)
-        coeffs = {(1, 0): 0.8, (0, 1): -0.25j, (1, -2): 0.5 + 0.5j}
-        op = quantize_observable(coeffs, N)
-        composed = {
-            (A.a * m + A.c * n, A.b * m + A.d * n): v for (m, n), v in coeffs.items()
-        }
-        lhs = prop.entries.conj().T @ op @ prop.entries
-        rhs = quantize_observable(composed, N)
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-
 class TestMatrixExport:
     def test_csv_layout(self):
         fh = io.StringIO()
@@ -341,3 +277,22 @@ class TestMatrixExport:
     def test_binary_rejects_bad_magic(self):
         with pytest.raises(ValueError):
             read_matrix_binary(io.BytesIO(b"NOPE" + b"\0" * 12))
+
+    def test_binary_rejects_short_header(self):
+        with pytest.raises(ValueError, match="header has 10 bytes, expected 16"):
+            read_matrix_binary(io.BytesIO(b"CATM" + b"\0" * 6))
+
+    def _dump(self, N):
+        buf = io.BytesIO()
+        write_matrix_binary(build_propagator(A, N).entries, buf)
+        return buf.getvalue()
+
+    def test_binary_rejects_truncated_payload(self):
+        raw = self._dump(5)[:-24]
+        with pytest.raises(ValueError, match="N=5 has 376 payload bytes, expected 400"):
+            read_matrix_binary(io.BytesIO(raw))
+
+    def test_binary_rejects_trailing_bytes(self):
+        raw = self._dump(5) + b"\0"
+        with pytest.raises(ValueError, match="N=5 has 401 payload bytes, expected 400"):
+            read_matrix_binary(io.BytesIO(raw))
