@@ -14,6 +14,10 @@ from enum import Enum
 from math import gcd
 
 
+class CertificationError(RuntimeError):
+    """A certification check exceeded its bound (spectral's errors derive from it)."""
+
+
 class OrderCapExceeded(RuntimeError):
     """The modular order search ran past its iteration cap.
 
@@ -249,10 +253,12 @@ def quantum_period(A: CatMatrix, N: int) -> PeriodRecord:
     """
     T = matrix_order_mod(A, N)
     power = matrix_power(A, T)
-    diff = (power.a - 1, power.b, power.c, power.d - 1)
-    for entry in diff:
+    for entry in (power.a - 1, power.b, power.c, power.d - 1):
         if entry % N != 0:
-            raise AssertionError("A^T_N != I mod N: order search is broken")
+            raise CertificationError(
+                "quantum period at N=%d: A^T_N - I has entry %d mod N at T_N=%d,"
+                " expected 0" % (N, entry % N, T)
+            )
     if N % 2 == 1:
         return PeriodRecord(N=N, T_N=T, n_N=T, parity_rule_used=ParityRule.ODD_N)
     b12 = power.b // N
@@ -290,8 +296,12 @@ def period_modulus(A: CatMatrix, k: int) -> int:
     else:
         modulus = p_sequence(trace, m) + p_sequence(trace, m + 1)
     if k <= _VERIFY_CAP:
-        power = matrix_power(A, k)
-        assert power.mod(modulus) == IDENTITY.mod(modulus)
+        power = matrix_power(A, k).mod(modulus)
+        if power != IDENTITY.mod(modulus):
+            raise CertificationError(
+                "period modulus N=%d: A^%d mod N is %r, expected the identity"
+                % (modulus, k, (power.a, power.b, power.c, power.d))
+            )
     return modulus
 
 
@@ -312,17 +322,22 @@ def short_period_sequence(A: CatMatrix, count: int) -> list[tuple[int, int]]:
         modulus = period_modulus(A, 2 * k + 1)
         period = 2 * k + 1
         if modulus % 2 != 1:
-            raise AssertionError("short-period modulus %d is even" % modulus)
-        if 2 * math.log(modulus, lam) + 1 < period - 1e-9:
-            raise AssertionError(
-                "period bound violated at k=%d: modulus %d" % (k, modulus)
+            raise CertificationError(
+                "short-period modulus N=%d at k=%d: N mod 2 is 0, expected 1"
+                % (modulus, k)
+            )
+        bound = 2 * math.log(modulus, lam) + 1
+        if bound < period - 1e-9:
+            raise CertificationError(
+                "short-period modulus N=%d at k=%d: period %d exceeds"
+                " 2*log_lambda(N) + 1 = %.12f" % (modulus, k, period, bound)
             )
         if modulus <= _VERIFY_BELOW:
             record = quantum_period(A, modulus)
             if record.n_N != period:
-                raise AssertionError(
-                    "closed-form period %d disagrees with computed %d at N=%d"
-                    % (period, record.n_N, modulus)
+                raise CertificationError(
+                    "short-period modulus N=%d: computed quantum period %d,"
+                    " expected the closed-form %d" % (modulus, record.n_N, period)
                 )
         pairs.append((modulus, period))
     return pairs

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import IO, Callable
@@ -54,11 +55,7 @@ def _check_config_value(field: dataclasses.Field, value):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Merged configuration for one command invocation.
-
-    Round-trips losslessly through its flat JSON representation; see
-    to_dict/from_dict.
-    """
+    """Merged configuration for one command invocation."""
 
     a: int = 2
     b: int = 3
@@ -74,17 +71,8 @@ class RunConfig:
     out: str | None = None
     svg: str | None = None
     records: str | None = None
-    tol_unitarity: float = 1e-9
-    tol_cluster: float = 1e-7
     allow_even_n: bool = False
     jobs: int = 1
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls.from_sources({}, data)
 
     @classmethod
     def from_sources(cls, cli: dict, config: dict) -> "RunConfig":
@@ -106,8 +94,6 @@ class RunConfig:
         return cls(**values).validated()
 
     def validated(self) -> "RunConfig":
-        if self.tol_unitarity <= 0 or self.tol_cluster <= 0:
-            raise UsageError("tolerance overrides must be positive")
         if not 0 < self.epsilon < 1:
             raise UsageError("epsilon must lie in (0, 1)")
         if self.jobs < 1:
@@ -143,8 +129,16 @@ def _write_text(cfg: RunConfig, render: Callable[[IO[str]], None]) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             render(fh)
-    else:
+        return
+    try:
         render(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head`): stop writing quietly.
+        # Point stdout at devnull so the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit(cfg: RunConfig, payload, render: Callable[[IO[str]], None]) -> None:
@@ -206,12 +200,7 @@ def cmd_period(cfg: RunConfig) -> int:
 
 def cmd_propagator(cfg: RunConfig) -> int:
     n = _require_n(cfg)
-    prop = quantize.build_propagator(
-        cfg.matrix(),
-        n,
-        allow_even=cfg.allow_even_n,
-        unitarity_tol=cfg.tol_unitarity,
-    )
+    prop = quantize.build_propagator(cfg.matrix(), n, allow_even=cfg.allow_even_n)
     if cfg.format == "binary":
         if not cfg.out:
             raise UsageError("binary output requires --out")
@@ -233,9 +222,7 @@ def cmd_propagator(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     n = _require_n(cfg)
-    _, report = experiments.clustered_spectrum(
-        cfg.matrix(), n, cfg.tol_cluster, cfg.tol_unitarity, cfg.allow_even_n
-    )
+    _, report = experiments.clustered_spectrum(cfg.matrix(), n, cfg.allow_even_n)
     payload = spectral.report_to_dict(report)
     clusters = payload["clusters"]
     cluster_of = {i: cid for cid, c in enumerate(clusters) for i in c["indices"]}
@@ -259,13 +246,7 @@ def _warn_errors(records) -> None:
 
 def _scan(cfg: RunConfig) -> list[experiments.ScanRecord]:
     return experiments.scan_supnorms(
-        cfg.matrix(),
-        cfg.n_min,
-        cfg.n_max,
-        jobs=cfg.jobs,
-        cluster_tol=cfg.tol_cluster,
-        unitarity_tol=cfg.tol_unitarity,
-        allow_even=cfg.allow_even_n,
+        cfg.matrix(), cfg.n_min, cfg.n_max, jobs=cfg.jobs, allow_even=cfg.allow_even_n
     )
 
 
@@ -281,11 +262,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 def cmd_profile(cfg: RunConfig) -> int:
     n = _require_n(cfg)
     profile = experiments.eigenfunction_profile(
-        cfg.matrix(),
-        n,
-        cluster_tol=cfg.tol_cluster,
-        unitarity_tol=cfg.tol_unitarity,
-        allow_even=cfg.allow_even_n,
+        cfg.matrix(), n, allow_even=cfg.allow_even_n
     )
     payload = [{"i": i, "abs_u_i": float(v)} for i, v in enumerate(profile)]
     _emit(cfg, payload, lambda fh: experiments.write_profile_csv(profile, fh))
@@ -295,9 +272,7 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 def cmd_dispersive(cfg: RunConfig) -> int:
     n = _require_n(cfg)
-    records = experiments.dispersive_scan(
-        cfg.matrix(), [n], cfg.jmax, unitarity_tol=cfg.tol_unitarity
-    )
+    records = experiments.dispersive_scan(cfg.matrix(), [n], cfg.jmax)
     payload = [r.to_dict() for r in records]
     _emit(cfg, payload, lambda fh: experiments.write_dispersive_csv(records, fh))
     _write_svg(cfg, lambda fh: svg.render_dispersive_svg(records, fh))
@@ -306,7 +281,7 @@ def cmd_dispersive(cfg: RunConfig) -> int:
 
 
 # verify flags that only steer the rescan --records replaces.
-_RESCAN_ONLY = ("tol_unitarity", "tol_cluster", "allow_even_n", "jobs")
+_RESCAN_ONLY = ("allow_even_n", "jobs")
 
 
 def cmd_verify(cfg: RunConfig, flags: frozenset[str]) -> int:
@@ -390,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     epsilon = _flag("--epsilon", type=float, help="slack in the bound checks")
     records = _flag("--records", help="scan CSV to verify instead of rescanning")
     plot = _flag("--svg", help="also render an SVG plot to this path")
-    unitarity = _flag("--tol-unitarity", type=float, dest="tol_unitarity")
-    cluster = _flag("--tol-cluster", type=float, dest="tol_cluster")
     even = _flag(
         "--allow-even-n",
         action="store_const",
@@ -414,19 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("classify", "classify a matrix", []),
         ("sequence", "short-period modulus sequence", [count]),
         ("period", "quantum period of one N", [n]),
-        ("propagator", "dump one propagator", [n, unitarity, even]),
-        ("spectrum", "clustered eigensystem", [n, unitarity, cluster, even]),
-        (
-            "scan",
-            "sup-norm sweep over N",
-            [n_min, n_max, plot, unitarity, cluster, even, jobs],
-        ),
-        ("profile", "witness eigenfunction", [n, plot, unitarity, cluster, even]),
-        ("dispersive", "power-norm decay", [n, jmax, plot, unitarity]),
+        ("propagator", "dump one propagator", [n, even]),
+        ("spectrum", "clustered eigensystem", [n, even]),
+        ("scan", "sup-norm sweep over N", [n_min, n_max, plot, even, jobs]),
+        ("profile", "witness eigenfunction", [n, plot, even]),
+        ("dispersive", "power-norm decay", [n, jmax, plot]),
         (
             "verify",
             "check envelope bounds",
-            [n_min, n_max, epsilon, records, unitarity, cluster, even, jobs],
+            [n_min, n_max, epsilon, records, even, jobs],
         ),
     ):
         sub.add_parser(command, parents=[common, *flags], help=help_text)
@@ -459,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print("%s: i/o error: %s" % (PROG, exc), file=sys.stderr)
         return 3
-    except quantize.CertificationError as exc:
+    except arith.CertificationError as exc:
         print("%s: certification failed: %s" % (PROG, exc), file=sys.stderr)
         return 4
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .arith import (
     CatMatrix,
+    CertificationError,
     PeriodRecord,
     matrix_power,
     period_modulus,
@@ -27,7 +28,7 @@ from .arith import (
     require_quantizable,
     validate_catmap,
 )
-from .quantize import CertificationError, build_propagator
+from .quantize import build_propagator
 from .spectral import (
     SpectrumReport,
     cluster_eigenvalues,
@@ -141,8 +142,6 @@ def short_period_set(A: CatMatrix, n_max: int) -> dict[int, int]:
 def clustered_spectrum(
     A: CatMatrix,
     N: int,
-    cluster_tol: float = 1e-7,
-    unitarity_tol: float = 1e-9,
     allow_even: bool = False,
 ) -> tuple[PeriodRecord, SpectrumReport]:
     """The per-N pipeline: quantum period, certified propagator, certified
@@ -151,10 +150,8 @@ def clustered_spectrum(
     """
     lam = require_quantizable(A).lam
     record = quantum_period(A, N)
-    prop = build_propagator(A, N, allow_even=allow_even, unitarity_tol=unitarity_tol)
-    report = cluster_eigenvalues(
-        eigendecompose(prop), n=record.n_N, lam=lam, tol=cluster_tol
-    )
+    prop = build_propagator(A, N, allow_even=allow_even)
+    report = cluster_eigenvalues(eigendecompose(prop), n=record.n_N, lam=lam)
     return record, report
 
 
@@ -205,17 +202,9 @@ _ROW_ERRORS = (ValueError, CertificationError)
 DRIFT_TOL = 1e-7
 
 
-def _scan_single(
-    A: CatMatrix,
-    blank: ScanRecord,
-    cluster_tol: float,
-    unitarity_tol: float,
-    allow_even: bool,
-) -> ScanRecord:
+def _scan_single(A: CatMatrix, blank: ScanRecord, allow_even: bool) -> ScanRecord:
     try:
-        record, report = clustered_spectrum(
-            A, blank.N, cluster_tol, unitarity_tol, allow_even
-        )
+        record, report = clustered_spectrum(A, blank.N, allow_even)
         result = supnorm_summary(report)
     except _ROW_ERRORS as exc:
         return replace(blank, error=str(exc))
@@ -233,8 +222,6 @@ def scan_supnorms(
     n_min: int,
     n_max: int,
     jobs: int = 1,
-    cluster_tol: float = 1e-7,
-    unitarity_tol: float = 1e-9,
     allow_even: bool = False,
 ) -> list[ScanRecord]:
     """Sup-norm sweep over N in [n_min, n_max]: odd N, or every N with
@@ -268,29 +255,17 @@ def scan_supnorms(
         ScanRecord(N, None, None, *_envelopes(N, lam), N in bdb, None, None)
         for N in values
     ]
-    work = partial(
-        _scan_single,
-        A,
-        cluster_tol=cluster_tol,
-        unitarity_tol=unitarity_tol,
-        allow_even=allow_even,
-    )
+    work = partial(_scan_single, A, allow_even=allow_even)
     return process_map(work, blanks, jobs)
 
 
-def eigenfunction_profile(
-    A: CatMatrix,
-    N: int,
-    cluster_tol: float = 1e-7,
-    unitarity_tol: float = 1e-9,
-    allow_even: bool = False,
-) -> np.ndarray:
+def eigenfunction_profile(A: CatMatrix, N: int, allow_even: bool = False) -> np.ndarray:
     """Coordinate moduli |u_i| of a maximal-sup-norm witness eigenfunction.
 
     Raises CertificationError when the witness's squared l2 norm is off
     1 by more than 1e-10.
     """
-    _, report = clustered_spectrum(A, N, cluster_tol, unitarity_tol, allow_even)
+    _, report = clustered_spectrum(A, N, allow_even)
     result = supnorm_summary(report)
     profile = np.abs(result.witness)
     drift = abs(float(np.sum(profile**2)) - 1.0)
@@ -303,10 +278,7 @@ def eigenfunction_profile(
 
 
 def dispersive_scan(
-    A: CatMatrix,
-    N_list: Sequence[int],
-    j_max: int,
-    unitarity_tol: float = 1e-9,
+    A: CatMatrix, N_list: Sequence[int], j_max: int
 ) -> list[DispersiveRecord]:
     """Largest entry modulus of propagator powers M^j for 1 <= j <= j_max.
 
@@ -325,7 +297,7 @@ def dispersive_scan(
             raise ValueError("dispersive scan expects odd N, got %d" % N)
     records: list[DispersiveRecord] = []
     for N in N_list:
-        prop = build_propagator(A, N, unitarity_tol=unitarity_tol)
+        prop = build_propagator(A, N)
         identity = np.eye(N)
         power = prop.entries
         for j in range(1, j_max + 1):

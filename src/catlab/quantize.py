@@ -21,10 +21,9 @@ from typing import IO
 
 import numpy as np
 
-from .arith import CatMatrix, require_quantizable
+from .arith import CatMatrix, CertificationError, require_quantizable
 
 __all__ = [
-    "CertificationError",
     "Propagator",
     "build_propagator",
     "translation_matrix",
@@ -37,10 +36,8 @@ __all__ = [
 MATRIX_MAGIC = b"CATM"
 # magic, u32 N, u32 reserved, 4 zero-pad bytes -> 16 bytes total
 _HEADER = struct.Struct("<4sII4x")
-
-
-class CertificationError(RuntimeError):
-    """A certification check exceeded its bound (spectral's errors derive from it)."""
+# Certification bound on the propagator's unitarity residual, times sqrt(N).
+UNITARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,7 @@ def _phase_grid(numerators: np.ndarray, L: int) -> np.ndarray:
     return np.exp((2j * np.pi / L) * reduced)
 
 
-def build_propagator(
-    A: CatMatrix,
-    N: int,
-    allow_even: bool = False,
-    unitarity_tol: float = 1e-9,
-) -> Propagator:
+def build_propagator(A: CatMatrix, N: int, allow_even: bool = False) -> Propagator:
     """Propagator matrix of the map A at dimension N.
 
     entries[k, j] = (N|b|)^(-1/2) * sum over r < |b| of
@@ -97,7 +89,7 @@ def build_propagator(
     rows, so the integer phases and gathered terms never fill an N x N
     scratch array.
 
-    The result is certified unitary (max-norm residual <= unitarity_tol *
+    The result is certified unitary (max-norm residual <= UNITARITY_TOL *
     sqrt(N)), and for odd N every entry is checked against the dispersive
     bound sqrt(|b|/N).
 
@@ -106,8 +98,6 @@ def build_propagator(
     """
     if N < 1:
         raise ValueError("dimension must be positive, got %d" % N)
-    if unitarity_tol <= 0:
-        raise ValueError("unitarity tolerance must be positive")
     require_quantizable(A)
     if A.b == 0:
         raise ValueError("kernel formula requires b != 0")
@@ -152,10 +142,10 @@ def build_propagator(
     matrix /= np.sqrt(N * absb)
 
     residual = float(np.abs(matrix.conj().T @ matrix - np.eye(N)).max())
-    if residual > unitarity_tol * np.sqrt(N):
+    if residual > UNITARITY_TOL * np.sqrt(N):
         raise CertificationError(
             "propagator build at N=%d: unitarity residual %.3e exceeds %.3e"
-            % (N, residual, unitarity_tol * np.sqrt(N))
+            % (N, residual, UNITARITY_TOL * np.sqrt(N))
         )
     if N % 2 == 1:
         bound = np.sqrt(absb / N) + 1e-9

@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .quantize import CertificationError, Propagator
+from .arith import CertificationError
+from .quantize import Propagator
 
 __all__ = [
     "ResidualError",
@@ -41,10 +42,13 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 # Certification bounds: eigenpair residual (times sqrt(N)), eigenvalue
-# distance from the unit circle, scalar M^n.
+# distance from the unit circle, scalar M^n. CLUSTER_TOL is both the
+# largest phase distance of an eigenvalue from its snapped root and the
+# largest phase gap inside a gap-grouped cluster.
 RESIDUAL_TOL = 1e-8
 MODULUS_TOL = 1e-8
 SCALAR_TOL = 1e-7
+CLUSTER_TOL = 1e-7
 
 
 class ResidualError(CertificationError):
@@ -53,7 +57,7 @@ class ResidualError(CertificationError):
 
 class AmbiguousClusterError(CertificationError):
     """An eigenvalue sits too close to two different cluster representatives,
-    or farther than the tolerance from the nearest one."""
+    or farther than CLUSTER_TOL from the nearest one."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ def _circular_distance(x: np.ndarray | float, y: float) -> np.ndarray | float:
     return np.minimum(d, TWO_PI - d)
 
 
-def _snap_clusters(report: SpectrumReport, n: int, tol: float) -> SpectrumReport:
+def _snap_clusters(report: SpectrumReport, n: int) -> SpectrumReport:
     power = np.linalg.matrix_power(report.matrix, n)
     scalar = power[0, 0]
     off = float(np.abs(power - scalar * np.eye(report.N)).max())
@@ -173,15 +177,15 @@ def _snap_clusters(report: SpectrumReport, n: int, tol: float) -> SpectrumReport
         dist = _circular_distance(roots, float(theta))
         nearest = int(np.argmin(dist))
         runner_up = np.partition(dist, 1)[1] if n > 1 else math.inf
-        if runner_up < 2 * tol:
+        if runner_up < 2 * CLUSTER_TOL:
             raise AmbiguousClusterError(
                 "N=%d: eigenvalue %d lies %.3e from a second period-%d root,"
-                " within 2*tol %.3e" % (report.N, i, runner_up, n, 2 * tol)
+                " within 2*tol %.3e" % (report.N, i, runner_up, n, 2 * CLUSTER_TOL)
             )
-        if dist[nearest] > tol:
+        if dist[nearest] > CLUSTER_TOL:
             raise AmbiguousClusterError(
                 "N=%d: eigenvalue %d lies %.3e from its nearest period-%d root"
-                " (tol %.3e)" % (report.N, i, dist[nearest], n, tol)
+                " (tol %.3e)" % (report.N, i, dist[nearest], n, CLUSTER_TOL)
             )
         members.setdefault(nearest, []).append(i)
 
@@ -192,17 +196,17 @@ def _snap_clusters(report: SpectrumReport, n: int, tol: float) -> SpectrumReport
     return replace(report, clusters=clusters, global_phase=phi)
 
 
-def _gap_clusters(report: SpectrumReport, tol: float) -> SpectrumReport:
+def _gap_clusters(report: SpectrumReport) -> SpectrumReport:
     n = report.N
     phases = np.mod(np.angle(report.eigenvalues), TWO_PI)
     groups: list[list[int]] = [[0]]
     for i in range(1, n):
-        if phases[i] - phases[i - 1] <= tol:
+        if phases[i] - phases[i - 1] <= CLUSTER_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
     # circular wrap: the first and last groups may be one cluster
-    if len(groups) > 1 and (phases[groups[0][0]] + TWO_PI - phases[-1]) <= tol:
+    if len(groups) > 1 and (phases[groups[0][0]] + TWO_PI - phases[-1]) <= CLUSTER_TOL:
         groups[0] = groups.pop() + groups[0]
     clusters = []
     for members in groups:
@@ -220,7 +224,6 @@ def cluster_eigenvalues(
     report: SpectrumReport,
     n: int | None = None,
     lam: float | None = None,
-    tol: float = 1e-7,
 ) -> SpectrumReport:
     """Group the eigenvalues of a report into eigenspace clusters.
 
@@ -228,13 +231,11 @@ def cluster_eigenvalues(
     both n and lam are supplied) M^n is verified to be scalar and each
     eigenvalue is snapped to the nearest n-th root of its phase, so the
     clustering is exact. Otherwise eigenvalues are grouped by phase gaps
-    at tolerance tol, merging near-degenerate neighbours; degeneracy away
+    at CLUSTER_TOL, merging near-degenerate neighbours; degeneracy away
     from the short-period regime is declared, never assumed.
     """
     if report.N == 0:
         return replace(report, clusters=())
-    if tol <= 0:
-        raise ValueError("cluster tolerance must be positive")
     if n is not None and n < 1:
         raise ValueError("quantum period must be positive")
     if (
@@ -243,11 +244,11 @@ def cluster_eigenvalues(
         and report.N > 1
         and n <= 2 * math.log(report.N, lam) + 1 + 1e-12
     ):
-        return _snap_clusters(report, n, tol)
+        return _snap_clusters(report, n)
     if n == 1:
         # scalar matrix regardless of lam knowledge
-        return _snap_clusters(report, 1, tol)
-    return _gap_clusters(report, tol)
+        return _snap_clusters(report, 1)
+    return _gap_clusters(report)
 
 
 def projector(report: SpectrumReport, cluster_id: int) -> np.ndarray:

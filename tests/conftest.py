@@ -1,7 +1,7 @@
 """Shared heavy artifacts: the upper-bound surrogate sweep is computed
 once per session and consumed by both the module-invariant test and the
-acceptance criterion. Also a runner for `python -m catlab.cli` in a fresh
-interpreter."""
+acceptance criterion. Also runners for `python -m catlab.cli` in a fresh
+interpreter, and scan stages patched inside scan worker processes."""
 
 import math
 import os
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import catlab
-from catlab import experiments
+from catlab import experiments, quantize
 from catlab.arith import CatMatrix, validate_catmap
 from catlab.experiments import clustered_spectrum, process_map
 from catlab.spectral import supnorm_summary
@@ -93,21 +93,32 @@ def upper_surrogate_sweep() -> SurrogateSweep:
     )
 
 
-@pytest.fixture
-def run_cli_module():
-    """run(*argv, **env) runs `python -m catlab.cli *argv` in a fresh
+def _cli_module(*argv: str, **env: str) -> dict:
+    """subprocess arguments for `python -m catlab.cli *argv` in a fresh
     interpreter that imports this catlab, with env added to the
-    environment, and returns the CompletedProcess (text output)."""
+    environment."""
     src = str(Path(catlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {
+        "args": [sys.executable, "-m", "catlab.cli", *argv],
+        "env": {**os.environ, "PYTHONPATH": path, **env},
+    }
+
+
+@pytest.fixture
+def cli_module_args():
+    """_cli_module, for tests that start the process themselves."""
+    return _cli_module
+
+
+@pytest.fixture
+def run_cli_module():
+    """run(*argv, **env) runs `python -m catlab.cli *argv` (see
+    _cli_module) and returns the CompletedProcess (text output)."""
 
     def run(*argv: str, **env: str) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, "-m", "catlab.cli", *argv],
-            env={**os.environ, "PYTHONPATH": path, **env},
-            capture_output=True,
-            text=True,
-            timeout=300,
+            **_cli_module(*argv, **env), capture_output=True, text=True, timeout=300
         )
 
     return run
@@ -123,3 +134,39 @@ def drifted_witness(monkeypatch):
         return result._replace(witness=1.01 * result.witness)
 
     monkeypatch.setattr(experiments, "supnorm_summary", drifted)
+
+
+# Scan workers are spawned and import catlab afresh, so a monkeypatch in
+# the test process does not reach them. These replacements for
+# experiments._scan_single are module level, so a worker imports them and
+# patches a stage in its own process before it runs the real one.
+_real_scan_single = experiments._scan_single
+
+
+def _scan_single_strict_unitarity(A, blank, allow_even):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantize, "UNITARITY_TOL", 1e-30)
+        return _real_scan_single(A, blank, allow_even)
+
+
+def _broken_stage(*args, **kwargs):
+    raise TypeError("bug in a stage")
+
+
+def _scan_single_broken_stage(A, blank, allow_even):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "build_propagator", _broken_stage)
+        return _real_scan_single(A, blank, allow_even)
+
+
+@pytest.fixture
+def strict_unitarity_in_workers(monkeypatch):
+    """Scan workers certify propagators against a unitarity bound of
+    1e-30 * sqrt(N), which none meets."""
+    monkeypatch.setattr(experiments, "_scan_single", _scan_single_strict_unitarity)
+
+
+@pytest.fixture
+def broken_stage_in_workers(monkeypatch):
+    """Scan workers build propagators with a stage that raises TypeError."""
+    monkeypatch.setattr(experiments, "_scan_single", _scan_single_broken_stage)

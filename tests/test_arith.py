@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catlab import arith
 from catlab.arith import (
     IDENTITY,
     CatMatrix,
+    CertificationError,
     ParityRule,
     matrix_order_mod,
     matrix_power,
@@ -210,6 +212,12 @@ class TestPeriodModulus:
         with pytest.raises(ValueError):
             period_modulus(A, 0)
 
+    def test_congruence_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(arith, "matrix_power", lambda A, k: CatMatrix(2, 0, 0, 1))
+        match = r"period modulus N=5: A\^3 mod N is \(2, 0, 0, 1\), expected the identity"
+        with pytest.raises(CertificationError, match=match):
+            period_modulus(A, 3)
+
 
 class TestQuantumPeriod:
     def test_odd_cases(self):
@@ -232,6 +240,13 @@ class TestQuantumPeriod:
         record = quantum_period(A, 8)
         assert (record.T_N, record.n_N) == (4, 8)
         assert record.parity_rule_used is ParityRule.EVEN_N_DOUBLED
+
+    def test_order_failure_raises(self, monkeypatch):
+        # A^2 - I = [[6, 12], [4, 6]], which is not 0 mod 5
+        monkeypatch.setattr(arith, "matrix_order_mod", lambda A, N: 2)
+        match = r"quantum period at N=5: A\^T_N - I has entry 1 mod N at T_N=2, expected 0"
+        with pytest.raises(CertificationError, match=match):
+            quantum_period(A, 5)
 
     @pytest.mark.parametrize("N", list(range(1, 40)) + [96, 233, 989])
     def test_period_is_order_or_double(self, N):

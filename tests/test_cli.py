@@ -1,12 +1,14 @@
 """Command-line surface tests: commands, formats, config stack, exit codes."""
 
+import dataclasses
 import json
+import subprocess
 
 import numpy as np
 import pytest
 
-from catlab import spectral
-from catlab.cli import RunConfig, main
+from catlab import arith, quantize, spectral
+from catlab.cli import main
 from catlab.experiments import _fmt
 from catlab.quantize import read_matrix_binary
 
@@ -76,6 +78,21 @@ class TestSequence:
             {"k": 1, "N_k": 5, "t_k": 3},
             {"k": 2, "N_k": 19, "t_k": 5},
         ]
+
+    def test_certification_failure_exit_code(self, capsys, monkeypatch):
+        real = arith.quantum_period
+
+        def off_by_one(A, N):
+            record = real(A, N)
+            return dataclasses.replace(record, n_N=record.n_N + 1)
+
+        monkeypatch.setattr(arith, "quantum_period", off_by_one)
+        code, out, err = run(capsys, "sequence", "--count", "2")
+        assert (code, out) == (4, "")
+        assert err == (
+            "catlab: certification failed: short-period modulus N=5:"
+            " computed quantum period 4, expected the closed-form 3\n"
+        )
 
 
 class TestPeriod:
@@ -147,8 +164,9 @@ class TestSpectrum:
         assert lines[0] == "index,re,im,phase,cluster,residual"
         assert len(lines) == 6
 
-    def test_certification_failure_exit_code(self, capsys):
-        code, out, err = run(capsys, "spectrum", "--n", "31", "--tol-unitarity", "1e-30")
+    def test_certification_failure_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(quantize, "UNITARITY_TOL", 1e-30)
+        code, out, err = run(capsys, "spectrum", "--n", "31")
         assert code == 4
         assert out == ""
         assert err.startswith(
@@ -156,8 +174,9 @@ class TestSpectrum:
         )
         assert len(err.splitlines()) == 1
 
-    def test_clustering_failure_exit_code(self, capsys):
-        code, out, err = run(capsys, "spectrum", "--n", "71", "--tol-cluster", "10")
+    def test_clustering_failure_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "CLUSTER_TOL", 10)
+        code, out, err = run(capsys, "spectrum", "--n", "71")
         assert (code, out) == (4, "")
         assert err.startswith(
             "catlab: certification failed: N=71: eigenvalue 0 lies 8.976e-01"
@@ -173,12 +192,12 @@ class TestSpectrum:
         )
 
     def test_module_entry_point_exit_code(self, run_cli_module):
-        done = run_cli_module("spectrum", "--n", "31", "--tol-unitarity", "1e-30")
-        assert done.returncode == 4
-        assert done.stdout == ""
-        assert done.stderr.startswith(
-            "catlab: certification failed: propagator build at N=31: unitarity residual"
+        done = run_cli_module(
+            "spectrum", "-a", "2", "-b", "1", "-c", "1", "-d", "1", "--n", "31"
         )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "catlab: matrix (2,1,1,1) is not quantizable: c*d odd\n"
 
 
 class TestScanCommand:
@@ -324,8 +343,6 @@ class TestVerifyCommand:
         "flag",
         [
             ["--jobs", "2"],
-            ["--tol-unitarity", "1e-6"],
-            ["--tol-cluster", "1e-5"],
             ["--allow-even-n"],
         ],
     )
@@ -344,9 +361,7 @@ class TestVerifyCommand:
         csv_path = tmp_path / "scan.csv"
         run(capsys, "scan", "--n-min", "3", "--n-max", "7", "--out", str(csv_path))
         config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"jobs": 2, "tol_cluster": 1e-5, "allow_even_n": True, "n_min": 5})
-        )
+        config.write_text(json.dumps({"jobs": 2, "allow_even_n": True, "n_min": 5}))
         code, out, _ = run(
             capsys, "verify", "--records", str(csv_path), "--config", str(config),
             "--format", "json",
@@ -389,11 +404,6 @@ class TestVerifyCommand:
 
 
 class TestConfigStack:
-    def test_round_trip(self):
-        cfg = RunConfig(a=5, b=4, c=1, d=1, n=77, epsilon=0.25, format="json")
-        data = json.loads(json.dumps(cfg.to_dict()))
-        assert RunConfig.from_dict(data) == cfg
-
     def test_flag_overrides_config_overrides_default(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"count": 2, "format": "json"}))
@@ -443,10 +453,13 @@ class TestConfigStack:
         )
         assert code == 2
 
-    def test_bad_tolerance(self, capsys):
-        code, _, err = run(capsys, "scan", "--tol-unitarity", "-1")
-        assert code == 2
-        assert "tolerance" in err
+    def test_bad_tolerance(self, capsys, tmp_path):
+        # the certification bounds are constants, not config keys
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"tol_unitarity": 1e-6}))
+        code, out, err = run(capsys, "scan", "--n-max", "7", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "catlab: usage error: unknown config keys: tol_unitarity\n"
 
     def test_bad_epsilon(self, capsys):
         code, _, err = run(capsys, "verify", "--n-min", "5", "--n-max", "5", "--epsilon", "2")
@@ -460,6 +473,19 @@ class TestIOErrors:
         assert code == 3
         assert "i/o" in err
 
+    def test_closed_stdout_ends_quietly(self, cli_module_args):
+        # N=101 writes ~400 kB, more than a pipe buffers, so the write
+        # itself meets the closed pipe
+        command = cli_module_args("propagator", "--n", "101")
+        with subprocess.Popen(
+            **command, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as process:
+            head = process.stdout.read(10)
+            process.stdout.close()
+            _, err = process.communicate(timeout=300)
+        assert len(head) == 10
+        assert (process.returncode, err) == (0, b"")
+
 
 class TestFlagsPerCommand:
     @pytest.mark.parametrize(
@@ -469,6 +495,17 @@ class TestFlagsPerCommand:
             (["dispersive", "--n", "5", "--jmax", "2", "--tol-cluster", "5"], "--tol-cluster"),
             (["dispersive", "--n", "5", "--jmax", "2", "--jobs", "4"], "--jobs"),
             (["dispersive", "--n", "5", "--jmax", "2", "--allow-even-n"], "--allow-even-n"),
+            # the certification bounds are constants, so no command takes these
+            (["propagator", "--n", "5", "--tol-unitarity", "1e-6"], "--tol-unitarity"),
+            (["spectrum", "--n", "5", "--tol-unitarity", "1e-6"], "--tol-unitarity"),
+            (["spectrum", "--n", "5", "--tol-cluster", "1e-6"], "--tol-cluster"),
+            (["scan", "--n-max", "5", "--tol-unitarity", "1e-6"], "--tol-unitarity"),
+            (["scan", "--n-max", "5", "--tol-cluster", "1e-6"], "--tol-cluster"),
+            (["profile", "--n", "5", "--tol-unitarity", "1e-6"], "--tol-unitarity"),
+            (["profile", "--n", "5", "--tol-cluster", "1e-6"], "--tol-cluster"),
+            (["dispersive", "--n", "5", "--jmax", "2", "--tol-unitarity", "1e-6"], "--tol-unitarity"),
+            (["verify", "--n-max", "5", "--tol-unitarity", "1e-6"], "--tol-unitarity"),
+            (["verify", "--n-max", "5", "--tol-cluster", "1e-6"], "--tol-cluster"),
         ],
     )
     def test_flag_the_command_ignores_is_usage_error(self, capsys, tmp_path, argv, flag):

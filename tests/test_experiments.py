@@ -8,8 +8,14 @@ import re
 import numpy as np
 import pytest
 
-from catlab import experiments
-from catlab.arith import CatMatrix, matrix_power, quantum_period, validate_catmap
+from catlab import experiments, quantize
+from catlab.arith import (
+    CatMatrix,
+    CertificationError,
+    matrix_power,
+    quantum_period,
+    validate_catmap,
+)
 from catlab.experiments import (
     DISPERSIVE_FIELDS,
     SCAN_FIELDS,
@@ -26,7 +32,7 @@ from catlab.experiments import (
     write_scan_csv,
     write_table,
 )
-from catlab.quantize import CertificationError, build_propagator
+from catlab.quantize import build_propagator
 from catlab.spectral import (
     cluster_eigenvalues,
     eigendecompose,
@@ -131,8 +137,9 @@ class TestScan:
             if r.is_bdb:
                 assert r.max_supnorm >= (2 * math.log(r.N, LAM) + 1) ** -0.5 - 1e-9
 
-    def test_certification_failure_error_row(self):
-        records = scan_supnorms(A, 5, 5, unitarity_tol=1e-30)
+    def test_certification_failure_error_row(self, monkeypatch):
+        monkeypatch.setattr(quantize, "UNITARITY_TOL", 1e-30)
+        records = scan_supnorms(A, 5, 5)
         assert len(records) == 1
         assert records[0].error.startswith(
             "propagator build at N=5: unitarity residual"
@@ -148,17 +155,15 @@ class TestScan:
         with pytest.raises(TypeError, match="bug in a stage"):
             scan_supnorms(A, 5, 7)
 
-    def test_worker_certification_failure_error_row(self):
-        records = scan_supnorms(A, 5, 7, jobs=2, unitarity_tol=1e-30)
+    def test_worker_certification_failure_error_row(self, strict_unitarity_in_workers):
+        records = scan_supnorms(A, 5, 7, jobs=2)
         assert [r.N for r in records] == [5, 7]
         assert all("unitarity residual" in r.error for r in records)
         assert all(r.max_supnorm is None for r in records)
 
-    def test_worker_programming_error_propagates(self):
-        # a string tolerance fails the comparison inside the worker; a
-        # monkeypatched stage would not reach a spawned worker
-        with pytest.raises(TypeError):
-            scan_supnorms(A, 5, 7, jobs=2, cluster_tol="bad")
+    def test_worker_programming_error_propagates(self, broken_stage_in_workers):
+        with pytest.raises(TypeError, match="bug in a stage"):
+            scan_supnorms(A, 5, 7, jobs=2)
 
     def test_jobs_leave_environment_unchanged(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -346,8 +351,9 @@ class TestSerialization:
         parsed = read_scan_csv(fh)
         assert parsed == list(records_3_31)
 
-    def test_error_row_round_trip(self):
-        records = scan_supnorms(A, 5, 5, unitarity_tol=1e-30)
+    def test_error_row_round_trip(self, monkeypatch):
+        monkeypatch.setattr(quantize, "UNITARITY_TOL", 1e-30)
+        records = scan_supnorms(A, 5, 5)
         fh = io.StringIO()
         write_scan_csv(records, fh)
         fh.seek(0)

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catlab.arith import CatMatrix, matrix_power, quantum_period
+from catlab import quantize
+from catlab.arith import CatMatrix, CertificationError, matrix_power, quantum_period
 from catlab.quantize import (
-    CertificationError,
     Propagator,
     build_propagator,
     egorov_defect,
@@ -210,9 +210,10 @@ class TestPropagator:
         with pytest.raises(ValueError):
             build_propagator(A, 0)
 
-    def test_certification_trips_on_impossible_tolerance(self):
+    def test_certification_trips_on_impossible_tolerance(self, monkeypatch):
+        monkeypatch.setattr(quantize, "UNITARITY_TOL", 1e-18)
         with pytest.raises(CertificationError, match="unitarity"):
-            build_propagator(A, 5, unitarity_tol=1e-18)
+            build_propagator(A, 5)
 
     def test_h_matches_dimension(self):
         assert build_propagator(A, 5).h == pytest.approx(1 / (10 * math.pi))

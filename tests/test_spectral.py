@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from catlab import spectral
 from catlab.arith import CatMatrix, quantum_period, validate_catmap
 from catlab.quantize import build_propagator
 from catlab.spectral import (
@@ -125,9 +126,8 @@ class TestClustering:
         assert clustered.global_phase == pytest.approx(theta)
 
     def test_gap_merges_near_degenerate_pair(self):
-        tol = 1e-7
-        report = synthetic_report([1.0, np.exp(1j * tol / 10)])
-        clustered = cluster_eigenvalues(report, tol=tol)
+        report = synthetic_report([1.0, np.exp(1j * spectral.CLUSTER_TOL / 10)])
+        clustered = cluster_eigenvalues(report)
         assert len(clustered.clusters) == 1
         assert clustered.clusters[0].dim == 2
         assert clustered.global_phase is None
@@ -144,21 +144,21 @@ class TestClustering:
         clustered = cluster_eigenvalues(synthetic_report(values))
         assert sorted(c.dim for c in clustered.clusters) == [1, 2]
 
-    def test_ambiguous_snap_raises(self):
+    def test_ambiguous_snap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "CLUSTER_TOL", 1.1)
         values = np.exp(2j * np.pi * np.arange(3) / 3)
         report = synthetic_report(values)
         match = "N=3: eigenvalue 0 lies 2.094e\\+00 from a second period-3 root"
         with pytest.raises(AmbiguousClusterError, match=match):
-            cluster_eigenvalues(report, n=3, lam=1.01, tol=1.1)
+            cluster_eigenvalues(report, n=3, lam=1.01)
 
     def test_snap_rejects_eigenvalue_off_its_root(self, prop5):
-        tol = 1e-7
         report = eigendecompose(prop5)
         values = report.eigenvalues.copy()
-        values[2] *= np.exp(10j * tol)
+        values[2] *= np.exp(10j * spectral.CLUSTER_TOL)
         perturbed = replace(report, eigenvalues=values)
         with pytest.raises(AmbiguousClusterError, match="N=5: eigenvalue 2 lies 1.000e-06"):
-            cluster_eigenvalues(perturbed, n=3, lam=LAM, tol=tol)
+            cluster_eigenvalues(perturbed, n=3, lam=LAM)
 
     def test_snap_rejects_wrong_period(self, prop5):
         report = eigendecompose(prop5)
@@ -170,11 +170,6 @@ class TestClustering:
         match = "N=3: scalar matrix power 1 strays from the unit circle by 5.000e-01"
         with pytest.raises(ResidualError, match=match):
             cluster_eigenvalues(report, n=1)
-
-    def test_rejects_bad_tolerance(self, prop5):
-        report = eigendecompose(prop5)
-        with pytest.raises(ValueError):
-            cluster_eigenvalues(report, tol=0.0)
 
 
 class TestProjectors:
