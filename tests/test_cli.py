@@ -339,14 +339,18 @@ class TestVerifyCommand:
         assert [c["N"] for c in payload["lower"]] == [19]
         assert [c["N"] for c in payload["upper"]] == [15, 17, 19, 21]
 
+    # explicit ids keep each case's name stable as the list of flags changes
     @pytest.mark.parametrize(
-        "flag",
+        "flag,named",
         [
-            ["--jobs", "2"],
-            ["--allow-even-n"],
+            pytest.param(["--jobs", "2"], "--jobs", id="flag0"),
+            pytest.param(
+                ["--jobs", "2", "--allow-even-n"], "--allow-even-n, --jobs", id="flag1"
+            ),
+            pytest.param(["--allow-even-n"], "--allow-even-n", id="flag3"),
         ],
     )
-    def test_records_reject_rescan_only_flags(self, capsys, tmp_path, flag):
+    def test_records_reject_rescan_only_flags(self, capsys, tmp_path, flag, named):
         # the flags are rejected before the records file is opened
         missing = tmp_path / "scan.csv"
         code, out, err = run(capsys, "verify", "--records", str(missing), *flag)
@@ -354,7 +358,7 @@ class TestVerifyCommand:
         assert out == ""
         assert err == (
             "catlab: usage error: --records replaces the rescan that %s would steer\n"
-            % flag[0]
+            % named
         )
 
     def test_records_ignore_rescan_only_config_keys(self, capsys, tmp_path):
