@@ -1,5 +1,7 @@
 """Command-line surface tying the modules into a reproducible toolchain.
 
+Each flag is declared once, as a row of FLAGS, and each command once, as
+a row of COMMANDS; the parser and the config merge are built from them.
 Every command reads the same configuration stack (command-line flags
 override config-file values override defaults), writes CSV/JSON to a
 file or stdout, and emits optional SVG plots. Identical configuration
@@ -13,11 +15,10 @@ normalization check exceeded its bound).
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import IO, Callable
 
 from . import arith, experiments, quantize, spectral, svg
@@ -33,77 +34,81 @@ class UsageError(Exception):
     """Malformed flags or configuration; maps to exit code 2."""
 
 
-# Python types a config value may have for each annotation name; a float
-# field takes an int, and no int field takes a bool.
-_CONFIG_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "str": (str,),
-    "bool": (bool,),
-    "None": (type(None),),
+FORMATS = ("csv", "json", "binary")
+
+# dest: (type, default, help) of every flag, which is also its config key.
+# The matrix entries are -a..-d, every other flag is -- and its dest with
+# - for _; --format takes FORMATS, and the bool flag is store_const True.
+# A config value must have the type (a float takes an int, no int takes a
+# bool), or be null where the default is None.
+FLAGS = {
+    "a": (int, 2, "matrix entry a"),
+    "b": (int, 3, "matrix entry b"),
+    "c": (int, 1, "matrix entry c"),
+    "d": (int, 2, "matrix entry d"),
+    "n": (int, None, "dimension N"),
+    "n_min": (int, 3, None),
+    "n_max": (int, 1001, None),
+    "count": (int, 5, "number of pairs to emit"),
+    "jmax": (int, 50, "largest power"),
+    "epsilon": (float, 0.1, "slack in the bound checks"),
+    "format": (str, "csv", None),
+    "out": (str, None, "output path (default: stdout)"),
+    "svg": (str, None, "also render an SVG plot to this path"),
+    "records": (str, None, "scan CSV to verify instead of rescanning"),
+    "allow_even_n": (bool, False, "allow even dimensions (exploration only)"),
+    "jobs": (int, 1, "worker processes for scans, one BLAS thread each"),
 }
+# Flags every command takes, after --config and before its own.
+_COMMON = ("a", "b", "c", "d", "format", "out")
 
 
-def _check_config_value(field: dataclasses.Field, value):
-    allowed = tuple(t for name in field.type.split(" | ") for t in _CONFIG_TYPES[name])
-    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-        raise UsageError(
-            "config key %s must be %s, got %s" % (field.name, field.type, json.dumps(value))
-        )
+def _option(dest: str) -> str:
+    return "-" + dest if dest in ("a", "b", "c", "d") else "--" + dest.replace("_", "-")
+
+
+def _check_config_value(dest: str, value):
+    kind, default, _ = FLAGS[dest]
+    allowed = (int, float) if kind is float else (kind,)
+    name = kind.__name__
+    if default is None:
+        allowed += (type(None),)
+        name += " | None"
+    if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+        raise UsageError("config key %s must be %s, got %s" % (dest, name, json.dumps(value)))
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged configuration for one command invocation."""
+def _merge_config(args: argparse.Namespace, config: dict) -> argparse.Namespace:
+    """Flags given on the command line over config values over defaults.
 
-    a: int = 2
-    b: int = 3
-    c: int = 1
-    d: int = 2
-    n: int | None = None
-    n_min: int = 3
-    n_max: int = 1001
-    count: int = 5
-    jmax: int = 50
-    epsilon: float = 0.1
-    format: str = "csv"
-    out: str | None = None
-    svg: str | None = None
-    records: str | None = None
-    allow_even_n: bool = False
-    jobs: int = 1
+    Config values must match their flag's type, else UsageError. The result
+    holds every dest of FLAGS, and in `given` those set on the command line.
+    """
+    unknown = sorted(set(config) - set(FLAGS))
+    if unknown:
+        raise UsageError("unknown config keys: %s" % ", ".join(unknown))
+    given = frozenset(dest for dest in FLAGS if getattr(args, dest, None) is not None)
+    values = {dest: default for dest, (_, default, _) in FLAGS.items()}
+    # a config value that a flag overrides is not checked
+    values.update(
+        (dest, _check_config_value(dest, config[dest]))
+        for dest in FLAGS
+        if dest in config and dest not in given
+    )
+    values.update((dest, getattr(args, dest)) for dest in given)
+    cfg = argparse.Namespace(given=given, **values)
+    if not 0 < cfg.epsilon < 1:
+        raise UsageError("epsilon must lie in (0, 1)")
+    if cfg.jobs < 1:
+        raise UsageError("jobs must be a positive integer")
+    if cfg.format not in FORMATS:
+        raise UsageError("format must be csv, json, or binary")
+    return cfg
 
-    @classmethod
-    def from_sources(cls, cli: dict, config: dict) -> "RunConfig":
-        """Flags (None when not given) over config values over defaults.
 
-        Config values must match their field's type, else UsageError.
-        """
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(config) - known)
-        if unknown:
-            raise UsageError("unknown config keys: %s" % ", ".join(unknown))
-        values = {}
-        for field in dataclasses.fields(cls):
-            cli_value = cli.get(field.name)
-            if cli_value is not None:
-                values[field.name] = cli_value
-            elif field.name in config:
-                values[field.name] = _check_config_value(field, config[field.name])
-        return cls(**values).validated()
-
-    def validated(self) -> "RunConfig":
-        if not 0 < self.epsilon < 1:
-            raise UsageError("epsilon must lie in (0, 1)")
-        if self.jobs < 1:
-            raise UsageError("jobs must be a positive integer")
-        if self.format not in ("csv", "json", "binary"):
-            raise UsageError("format must be csv, json, or binary")
-        return self
-
-    def matrix(self) -> arith.CatMatrix:
-        return arith.CatMatrix(self.a, self.b, self.c, self.d)
+def _matrix(cfg: argparse.Namespace) -> arith.CatMatrix:
+    return arith.CatMatrix(cfg.a, cfg.b, cfg.c, cfg.d)
 
 
 def _load_config(path: str | None) -> dict:
@@ -125,7 +130,7 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_text(cfg: RunConfig, render: Callable[[IO[str]], None]) -> None:
+def _write_text(cfg: argparse.Namespace, render: Callable[[IO[str]], None]) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             render(fh)
@@ -141,7 +146,7 @@ def _write_text(cfg: RunConfig, render: Callable[[IO[str]], None]) -> None:
         os.close(devnull)
 
 
-def _emit(cfg: RunConfig, payload, render: Callable[[IO[str]], None]) -> None:
+def _emit(cfg: argparse.Namespace, payload, render: Callable[[IO[str]], None]) -> None:
     """Write payload as JSON under --format json, else what render writes
     (a CSV table, or classify's text report)."""
     if cfg.format == "json":
@@ -150,19 +155,22 @@ def _emit(cfg: RunConfig, payload, render: Callable[[IO[str]], None]) -> None:
         _write_text(cfg, render)
 
 
-def _write_svg(cfg: RunConfig, render: Callable[[IO[str]], None]) -> None:
+def _write_svg(cfg: argparse.Namespace, render: Callable[[IO[str]], None]) -> None:
+    """Render in memory first, so a failed render leaves no file."""
     if cfg.svg:
+        plot = io.StringIO()
+        render(plot)
         with open(cfg.svg, "w", encoding="utf-8", newline="") as fh:
-            render(fh)
+            fh.write(plot.getvalue())
 
 
-def _require_n(cfg: RunConfig) -> int:
+def _require_n(cfg: argparse.Namespace) -> int:
     if cfg.n is None:
         raise UsageError("this command requires --n")
     return cfg.n
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(cfg: argparse.Namespace) -> int:
     report = arith.validate_catmap(cfg.a, cfg.b, cfg.c, cfg.d)
     lines = [
         "matrix: [[%d, %d], [%d, %d]]" % (cfg.a, cfg.b, cfg.c, cfg.d),
@@ -179,8 +187,8 @@ def cmd_classify(cfg: RunConfig) -> int:
     return 0 if report.is_quantizable else 1
 
 
-def cmd_sequence(cfg: RunConfig) -> int:
-    pairs = arith.short_period_sequence(cfg.matrix(), cfg.count)
+def cmd_sequence(cfg: argparse.Namespace) -> int:
+    pairs = arith.short_period_sequence(_matrix(cfg), cfg.count)
     payload = [
         {"k": k, "N_k": modulus, "t_k": period}
         for k, (modulus, period) in enumerate(pairs, start=1)
@@ -190,17 +198,17 @@ def cmd_sequence(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_period(cfg: RunConfig) -> int:
+def cmd_period(cfg: argparse.Namespace) -> int:
     n = _require_n(cfg)
-    payload = arith.quantum_period(cfg.matrix(), n).to_dict()
+    payload = arith.quantum_period(_matrix(cfg), n).to_dict()
     rows = [payload.values()]
     _emit(cfg, payload, lambda fh: experiments.write_table(payload.keys(), rows, fh))
     return 0
 
 
-def cmd_propagator(cfg: RunConfig) -> int:
+def cmd_propagator(cfg: argparse.Namespace) -> int:
     n = _require_n(cfg)
-    prop = quantize.build_propagator(cfg.matrix(), n, allow_even=cfg.allow_even_n)
+    prop = quantize.build_propagator(_matrix(cfg), n, allow_even=cfg.allow_even_n)
     if cfg.format == "binary":
         if not cfg.out:
             raise UsageError("binary output requires --out")
@@ -220,9 +228,9 @@ def cmd_propagator(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     n = _require_n(cfg)
-    _, report = experiments.clustered_spectrum(cfg.matrix(), n, cfg.allow_even_n)
+    _, report = experiments.clustered_spectrum(_matrix(cfg), n, cfg.allow_even_n)
     payload = spectral.report_to_dict(report)
     clusters = payload["clusters"]
     cluster_of = {i: cid for cid, c in enumerate(clusters) for i in c["indices"]}
@@ -244,55 +252,52 @@ def _warn_errors(records) -> None:
         )
 
 
-def _scan(cfg: RunConfig) -> list[experiments.ScanRecord]:
-    return experiments.scan_supnorms(
-        cfg.matrix(), cfg.n_min, cfg.n_max, jobs=cfg.jobs, allow_even=cfg.allow_even_n
+def _scan(cfg: argparse.Namespace) -> list[experiments.ScanRecord]:
+    """Scan and report failed records before any later step can fail."""
+    records = experiments.scan_supnorms(
+        _matrix(cfg), cfg.n_min, cfg.n_max, jobs=cfg.jobs, allow_even=cfg.allow_even_n
     )
+    _warn_errors(records)
+    return records
 
 
-def cmd_scan(cfg: RunConfig) -> int:
+def cmd_scan(cfg: argparse.Namespace) -> int:
     records = _scan(cfg)
     payload = [r.to_dict() for r in records]
     _emit(cfg, payload, lambda fh: experiments.write_scan_csv(records, fh))
     _write_svg(cfg, lambda fh: svg.render_scan_svg(records, fh))
-    _warn_errors(records)
     return 0
 
 
-def cmd_profile(cfg: RunConfig) -> int:
+def cmd_profile(cfg: argparse.Namespace) -> int:
     n = _require_n(cfg)
-    profile = experiments.eigenfunction_profile(
-        cfg.matrix(), n, allow_even=cfg.allow_even_n
-    )
+    profile = experiments.eigenfunction_profile(_matrix(cfg), n, allow_even=cfg.allow_even_n)
     payload = [{"i": i, "abs_u_i": float(v)} for i, v in enumerate(profile)]
     _emit(cfg, payload, lambda fh: experiments.write_profile_csv(profile, fh))
     _write_svg(cfg, lambda fh: svg.render_profile_svg(profile, fh))
     return 0
 
 
-def cmd_dispersive(cfg: RunConfig) -> int:
+def cmd_dispersive(cfg: argparse.Namespace) -> int:
     n = _require_n(cfg)
-    records = experiments.dispersive_scan(cfg.matrix(), [n], cfg.jmax)
+    records = experiments.dispersive_scan(_matrix(cfg), [n], cfg.jmax)
+    _warn_errors(records)
     payload = [r.to_dict() for r in records]
     _emit(cfg, payload, lambda fh: experiments.write_dispersive_csv(records, fh))
     _write_svg(cfg, lambda fh: svg.render_dispersive_svg(records, fh))
-    _warn_errors(records)
     return 0
 
 
-# verify flags that only steer the rescan --records replaces.
-_RESCAN_ONLY = ("allow_even_n", "jobs")
-
-
-def cmd_verify(cfg: RunConfig, flags: frozenset[str]) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     """Check the envelope bounds on a rescan, or on --records.
 
-    flags names the fields set on the command line. With --records,
-    --n-min/--n-max select the rows read, and a rescan-only flag is a
-    usage error; config-file values of those keys are ignored.
+    With --records, --n-min/--n-max set on the command line select the
+    rows read, and the flags that only steer the rescan it replaces
+    (--allow-even-n, --jobs) are a usage error; config-file values of
+    those four keys are ignored.
     """
     if cfg.records:
-        clash = ["--" + f.replace("_", "-") for f in _RESCAN_ONLY if f in flags]
+        clash = [_option(f) for f in ("allow_even_n", "jobs") if f in cfg.given]
         if clash:
             raise UsageError(
                 "--records replaces the rescan that %s would steer" % ", ".join(clash)
@@ -301,8 +306,8 @@ def cmd_verify(cfg: RunConfig, flags: frozenset[str]) -> int:
             records = [
                 r
                 for r in experiments.read_scan_csv(fh)
-                if ("n_min" not in flags or r.N >= cfg.n_min)
-                and ("n_max" not in flags or r.N <= cfg.n_max)
+                if ("n_min" not in cfg.given or r.N >= cfg.n_min)
+                and ("n_max" not in cfg.given or r.N <= cfg.n_max)
             ]
     else:
         records = _scan(cfg)
@@ -314,17 +319,21 @@ def cmd_verify(cfg: RunConfig, flags: frozenset[str]) -> int:
     return 0
 
 
-# verify also reads which flags the command line set; main calls it directly.
-_COMMANDS = {
-    "classify": cmd_classify,
-    "sequence": cmd_sequence,
-    "period": cmd_period,
-    "propagator": cmd_propagator,
-    "spectrum": cmd_spectrum,
-    "scan": cmd_scan,
-    "profile": cmd_profile,
-    "dispersive": cmd_dispersive,
-}
+# (name, help, flags beyond _COMMON, handler) of every command.
+COMMANDS = (
+    ("classify", "classify a matrix", (), cmd_classify),
+    ("sequence", "short-period modulus sequence", ("count",), cmd_sequence),
+    ("period", "quantum period of one N", ("n",), cmd_period),
+    ("propagator", "dump one propagator", ("n", "allow_even_n"), cmd_propagator),
+    ("spectrum", "clustered eigensystem", ("n", "allow_even_n"), cmd_spectrum),
+    ("scan", "sup-norm sweep over N", ("n_min", "n_max", "svg", "allow_even_n", "jobs"), cmd_scan),
+    ("profile", "witness eigenfunction", ("n", "svg", "allow_even_n"), cmd_profile),
+    ("dispersive", "power-norm decay", ("n", "jmax", "svg"), cmd_dispersive),
+    (
+        "verify", "check envelope bounds",
+        ("n_min", "n_max", "epsilon", "records", "allow_even_n", "jobs"), cmd_verify,
+    ),
+)
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -338,87 +347,38 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _flag(*args, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser holding one flag."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*args, **kwargs)
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each with only the flags it reads.
+    """One subparser per row of COMMANDS, each with only the flags it reads.
 
-    A config file may still set any key; commands ignore the keys they
-    do not read.
+    A config file may still set any key of FLAGS; commands ignore the keys
+    they do not read.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat JSON config file")
-    for entry in "abcd":
-        common.add_argument("-" + entry, type=int, dest=entry, help="matrix entry " + entry)
-    common.add_argument("--format", choices=("csv", "json", "binary"))
-    common.add_argument("--out", help="output path (default: stdout)")
-    n = _flag("--n", type=int, help="dimension N")
-    n_min = _flag("--n-min", type=int, dest="n_min")
-    n_max = _flag("--n-max", type=int, dest="n_max")
-    count = _flag("--count", type=int, help="number of pairs to emit")
-    jmax = _flag("--jmax", type=int, help="largest power")
-    epsilon = _flag("--epsilon", type=float, help="slack in the bound checks")
-    records = _flag("--records", help="scan CSV to verify instead of rescanning")
-    plot = _flag("--svg", help="also render an SVG plot to this path")
-    even = _flag(
-        "--allow-even-n",
-        action="store_const",
-        const=True,
-        dest="allow_even_n",
-        help="allow even dimensions (exploration only)",
-    )
-    jobs = _flag(
-        "--jobs", type=int, help="worker processes for scans, one BLAS thread each"
-    )
-
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Numerical laboratory for quantized hyperbolic torus maps.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_CommandParser
-    )
-    for command, help_text, flags in (
-        ("classify", "classify a matrix", []),
-        ("sequence", "short-period modulus sequence", [count]),
-        ("period", "quantum period of one N", [n]),
-        ("propagator", "dump one propagator", [n, even]),
-        ("spectrum", "clustered eigensystem", [n, even]),
-        ("scan", "sup-norm sweep over N", [n_min, n_max, plot, even, jobs]),
-        ("profile", "witness eigenfunction", [n, plot, even]),
-        ("dispersive", "power-norm decay", [n, jmax, plot]),
-        (
-            "verify",
-            "check envelope bounds",
-            [n_min, n_max, epsilon, records, even, jobs],
-        ),
-    ):
-        sub.add_parser(command, parents=[common, *flags], help=help_text)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, help_text, flags, handler in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        command.add_argument("--config", help="flat JSON config file")
+        for dest in (*_COMMON, *flags):
+            kind, _, flag_help = FLAGS[dest]
+            if kind is bool:
+                kwargs = {"action": "store_const", "const": True}
+            else:
+                kwargs = {"type": kind, "choices": FORMATS if dest == "format" else None}
+            command.add_argument(_option(dest), dest=dest, help=flag_help, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        cli_values = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in ("command", "config")
-        }
-        cfg = RunConfig.from_sources(cli_values, config)
+        cfg = _merge_config(args, _load_config(args.config))
         if cfg.format == "binary" and args.command != "propagator":
             raise UsageError("format binary applies only to propagator")
-        if args.command == "verify":
-            flags = frozenset(k for k, v in cli_values.items() if v is not None)
-            return cmd_verify(cfg, flags)
-        return _COMMANDS[args.command](cfg)
+        return args.handler(cfg)
     except UsageError as exc:
         print("%s: usage error: %s" % (PROG, exc), file=sys.stderr)
         return 2

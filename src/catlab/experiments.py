@@ -487,20 +487,23 @@ def read_scan_csv(fh: IO[str]) -> list[ScanRecord]:
                 % (lineno, cells[6])
             )
         blank = cells[2] == ""
-        records.append(
-            ScanRecord(
-                N=int(cells[0]),
-                n_N=None if cells[1] == "" else int(cells[1]),
-                max_supnorm=None if blank else float(cells[2]),
-                lower_env=float(cells[3]),
-                upper_env=float(cells[4]),
-                trivial_lb=float(cells[5]),
-                is_bdb=_CSV_BOOLS[cells[6]],
-                witness_index=None if cells[7] == "" else int(cells[7]),
-                cluster_dim=None if cells[8] == "" else int(cells[8]),
-                error="error row" if blank else None,
+        try:
+            records.append(
+                ScanRecord(
+                    N=int(cells[0]),
+                    n_N=None if cells[1] == "" else int(cells[1]),
+                    max_supnorm=None if blank else float(cells[2]),
+                    lower_env=float(cells[3]),
+                    upper_env=float(cells[4]),
+                    trivial_lb=float(cells[5]),
+                    is_bdb=_CSV_BOOLS[cells[6]],
+                    witness_index=None if cells[7] == "" else int(cells[7]),
+                    cluster_dim=None if cells[8] == "" else int(cells[8]),
+                    error="error row" if blank else None,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError("malformed scan CSV row at line %d: %r" % (lineno, line)) from exc
     return records
 
 

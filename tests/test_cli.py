@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from catlab import arith, quantize, spectral
+from catlab import arith, experiments, quantize, spectral
 from catlab.cli import main
 from catlab.experiments import _fmt
 from catlab.quantize import read_matrix_binary
@@ -259,6 +259,18 @@ class TestScanCommand:
         assert payload[0]["N"] == 5
         assert payload[0]["is_bdb"] is True
 
+    def test_failed_records_reported_before_failed_svg(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(quantize, "UNITARITY_TOL", 1e-30)
+        path = tmp_path / "s.svg"
+        code, _, err = run(capsys, "scan", "--n-min", "3", "--n-max", "7", "--svg", str(path))
+        assert code == 1
+        first, *rest = err.splitlines()
+        assert first.startswith(
+            "warning: 3 record(s) failed (first: N=3: propagator build at N=3:"
+        )
+        assert rest == ["catlab: no plottable scan records"]
+        assert not path.exists()
+
     def test_map_outside_short_period_hypotheses(self, capsys):
         code, out, err = run(
             capsys, "scan", *INELIGIBLE, "--n-min", "3", "--n-max", "11", "--format", "json"
@@ -311,6 +323,21 @@ class TestDispersiveCommand:
         )
         assert code == 0
         assert path.read_text().startswith("<svg ")
+
+    def test_failed_records_reported_before_failed_svg(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "DRIFT_TOL", -1)
+        path = tmp_path / "d.svg"
+        code, _, err = run(
+            capsys, "dispersive", "--n", "15", "--jmax", "3", "--svg", str(path)
+        )
+        assert code == 1
+        first, *rest = err.splitlines()
+        assert first.startswith(
+            "warning: 1 record(s) failed (first: N=15: dispersive power M^1 at N=15:"
+        )
+        assert first.endswith(" exceeds DRIFT_TOL -1.000e+00)")
+        assert rest == ["catlab: no plottable dispersive records"]
+        assert not path.exists()
 
 
 class TestVerifyCommand:
@@ -387,6 +414,16 @@ class TestVerifyCommand:
         assert code == 0
         assert out.splitlines()[0] == "bound,N,value,threshold,ok"
 
+    def test_failed_records_reported_before_failed_rescan_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(quantize, "UNITARITY_TOL", 1e-30)
+        code, out, err = run(capsys, "verify", "--n-min", "3", "--n-max", "7")
+        assert (code, out) == (1, "")
+        first, *rest = err.splitlines()
+        assert first.startswith(
+            "warning: 3 record(s) failed (first: N=3: propagator build at N=3:"
+        )
+        assert rest == ["catlab: no usable records to verify"]
+
     def test_allow_even_n_reaches_the_scan(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--n-min", "4", "--n-max", "8", "--allow-even-n",
@@ -431,19 +468,54 @@ class TestConfigStack:
         assert code == 2
         assert "n_mxa" in err
 
+    # explicit ids keep the names the cases had when the third field was the key
     @pytest.mark.parametrize(
-        "command, data, key",
+        "command, data, message",
         [
-            (["scan", "--n-max", "7"], {"jobs": "2"}, "jobs"),
-            (["period", "--n", "5"], {"a": 2.0}, "a"),
+            pytest.param(
+                ["scan", "--n-max", "7"], {"jobs": "2"}, 'jobs must be int, got "2"',
+                id="command0-data0-jobs",
+            ),
+            pytest.param(
+                ["period", "--n", "5"], {"a": 2.0}, "a must be int, got 2.0",
+                id="command1-data1-a",
+            ),
+            pytest.param(
+                ["scan", "--n-max", "7"], {"jobs": True}, "jobs must be int, got true",
+                id="command2-data2-jobs",
+            ),
+            pytest.param(
+                ["propagator", "--n", "5"], {"allow_even_n": 1},
+                "allow_even_n must be bool, got 1", id="command3-data3-allow_even_n",
+            ),
+            pytest.param(
+                ["classify"], {"out": 5}, "out must be str | None, got 5",
+                id="command4-data4-out",
+            ),
         ],
     )
-    def test_config_value_of_wrong_type(self, capsys, tmp_path, command, data, key):
+    def test_config_value_of_wrong_type(self, capsys, tmp_path, command, data, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(data))
-        code, _, err = run(capsys, *command, "--config", str(config))
-        assert code == 2
-        assert "config key %s must be" % key in err
+        code, out, err = run(capsys, *command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "catlab: usage error: config key %s\n" % message
+
+    def test_config_null_passes_type_check(self, capsys, tmp_path):
+        # n is int | None, so null is the default: period then asks for --n
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": None}))
+        code, out, err = run(capsys, "period", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "catlab: usage error: this command requires --n\n"
+
+    def test_config_int_epsilon_fails_only_range_check(self, capsys, tmp_path):
+        # a float key takes an int; 1 is then out of range
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"epsilon": 1}))
+        code, out, err = run(capsys, "verify", "--n-max", "5", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "catlab: usage error: epsilon must lie in (0, 1)\n"
 
     def test_malformed_config(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"

@@ -383,6 +383,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 3: is_bdb must be true or false"):
             read_scan_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("column", ["max_supnorm", "cluster_dim"])
+    def test_read_names_line_of_unparseable_cell(self, records_3_31, column):
+        fh = io.StringIO()
+        write_scan_csv(records_3_31, fh)
+        lines = fh.getvalue().splitlines()
+        cells = lines[2].split(",")
+        cells[SCAN_FIELDS.index(column)] = "x"
+        lines[2] = ",".join(cells)
+        message = "malformed scan CSV row at line 3: %r" % lines[2]
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            read_scan_csv(io.StringIO("\n".join(lines) + "\n"))
+
     def test_dispersive_csv(self):
         records = dispersive_scan(A, [5], 2)
         fh = io.StringIO()
