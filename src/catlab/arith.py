@@ -8,14 +8,35 @@ meaningless unless they hold exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import Iterator
 
 
 class CertificationError(RuntimeError):
-    """A certification check exceeded its bound (spectral's errors derive from it)."""
+    """A certification check exceeded its bound; raised only by certify."""
+
+
+def _cell(x) -> str:
+    """A number as a CSV cell writes it: floats as repr, anything else with str."""
+    # float() first: repr of an np.float64 is "np.float64(...)"
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def certify(stage: str, N: int, check: str, value: float, bound: float) -> None:
+    """The one certification check: pass when value <= bound.
+
+    Otherwise the CertificationError it raises reads "<stage> at N=<N>:
+    <check> <value> exceeds <bound>", floats written as repr and ints as
+    ints. NaN fails.
+    """
+    if not value <= bound:
+        raise CertificationError(
+            "%s at N=%d: %s %s exceeds %s" % (stage, N, check, _cell(value), _cell(bound))
+        )
 
 
 class OrderCapExceeded(RuntimeError):
@@ -244,6 +265,11 @@ def matrix_order_mod(A: CatMatrix, N: int) -> int:
     return t
 
 
+def _residue(power: CatMatrix, N: int) -> int:
+    """Largest entry of power - I reduced mod N: 0 iff power is I mod N."""
+    return max((power.a - 1) % N, power.b % N, power.c % N, (power.d - 1) % N)
+
+
 def quantum_period(A: CatMatrix, N: int) -> PeriodRecord:
     """Quantum period n(N) of the propagator from the order T_N mod N.
 
@@ -253,12 +279,7 @@ def quantum_period(A: CatMatrix, N: int) -> PeriodRecord:
     """
     T = matrix_order_mod(A, N)
     power = matrix_power(A, T)
-    for entry in (power.a - 1, power.b, power.c, power.d - 1):
-        if entry % N != 0:
-            raise CertificationError(
-                "quantum period at N=%d: A^T_N - I has entry %d mod N at T_N=%d,"
-                " expected 0" % (N, entry % N, T)
-            )
+    certify("quantum period", N, "largest residue of A^T_N - I mod N", _residue(power, N), 0)
     if N % 2 == 1:
         return PeriodRecord(N=N, T_N=T, n_N=T, parity_rule_used=ParityRule.ODD_N)
     b12 = power.b // N
@@ -275,7 +296,7 @@ def quantum_period(A: CatMatrix, N: int) -> PeriodRecord:
 # Above this power, skip the (cheap but not free) big-integer congruence
 # re-verification inside period_modulus.
 _VERIFY_CAP = 512
-# short_period_sequence re-checks moduli up to this bound with quantum_period.
+# short_period_moduli re-checks moduli up to this bound with quantum_period.
 _VERIFY_BELOW = 10**6
 
 
@@ -296,48 +317,38 @@ def period_modulus(A: CatMatrix, k: int) -> int:
     else:
         modulus = p_sequence(trace, m) + p_sequence(trace, m + 1)
     if k <= _VERIFY_CAP:
-        power = matrix_power(A, k).mod(modulus)
-        if power != IDENTITY.mod(modulus):
-            raise CertificationError(
-                "period modulus N=%d: A^%d mod N is %r, expected the identity"
-                % (modulus, k, (power.a, power.b, power.c, power.d))
-            )
+        residue = _residue(matrix_power(A, k), modulus)
+        certify("period modulus", modulus, "largest residue of A^%d - I mod N" % k, residue, 0)
     return modulus
 
 
-def short_period_sequence(A: CatMatrix, count: int) -> list[tuple[int, int]]:
-    """First `count` pairs (N_k, t_k) of odd moduli with short quantum period.
+def short_period_moduli(A: CatMatrix, n_max: float = math.inf) -> Iterator[tuple[int, int]]:
+    """Certified pairs (N_k, t_k), k = 1, 2, ..., of odd moduli with short
+    quantum period, up to N_k <= n_max.
 
     N_k is the odd-index modulus p_k + p_{k+1} and t_k = 2k + 1 its
-    quantum period, which satisfies t_k <= 2*log_lambda(N_k) + 1. Pairs
-    with N_k up to _VERIFY_BELOW are re-verified against the full
-    order-plus-parity computation of quantum_period.
+    quantum period. Each pair is certified: N_k is odd, t_k <=
+    2*log_lambda(N_k) + 1, and for N_k up to _VERIFY_BELOW the full
+    order-plus-parity computation of quantum_period gives t_k.
     """
+    lam = require_eligible(A).lam
+    stage = "short-period modulus"
+    for k in itertools.count(1):
+        period = 2 * k + 1
+        modulus = period_modulus(A, period)
+        if modulus > n_max:
+            return
+        certify(stage, modulus, "(N + 1) mod 2", (modulus + 1) % 2, 0)
+        excess = period - (2 * math.log(modulus, lam) + 1)
+        certify(stage, modulus, "t_k - 2*log_lambda(N) - 1", excess, 1e-9)
+        if modulus <= _VERIFY_BELOW:
+            miss = abs(quantum_period(A, modulus).n_N - period)
+            certify(stage, modulus, "|n_N - t_k|", miss, 0)
+        yield modulus, period
+
+
+def short_period_sequence(A: CatMatrix, count: int) -> list[tuple[int, int]]:
+    """First `count` certified pairs (N_k, t_k) of short_period_moduli."""
     if count < 1:
         raise ValueError("count must be positive, got %d" % count)
-    report = require_eligible(A)
-    lam = report.lam
-    pairs = []
-    for k in range(1, count + 1):
-        modulus = period_modulus(A, 2 * k + 1)
-        period = 2 * k + 1
-        if modulus % 2 != 1:
-            raise CertificationError(
-                "short-period modulus N=%d at k=%d: N mod 2 is 0, expected 1"
-                % (modulus, k)
-            )
-        bound = 2 * math.log(modulus, lam) + 1
-        if bound < period - 1e-9:
-            raise CertificationError(
-                "short-period modulus N=%d at k=%d: period %d exceeds"
-                " 2*log_lambda(N) + 1 = %.12f" % (modulus, k, period, bound)
-            )
-        if modulus <= _VERIFY_BELOW:
-            record = quantum_period(A, modulus)
-            if record.n_N != period:
-                raise CertificationError(
-                    "short-period modulus N=%d: computed quantum period %d,"
-                    " expected the closed-form %d" % (modulus, record.n_N, period)
-                )
-        pairs.append((modulus, period))
-    return pairs
+    return list(itertools.islice(short_period_moduli(A), count))

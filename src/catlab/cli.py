@@ -8,8 +8,9 @@ file or stdout, and emits optional SVG plots. Identical configuration
 yields byte-identical output.
 
 Exit codes: 0 success, 1 domain rejection, 2 usage error, 3 I/O error,
-4 certification failure (a propagator, eigensystem, clustering or profile
-normalization check exceeded its bound).
+4 certification failure (a quantum-period, short-period modulus,
+propagator, eigensystem, clustering or profile normalization check
+exceeded its bound).
 """
 
 from __future__ import annotations
@@ -90,11 +91,8 @@ def _merge_config(args: argparse.Namespace, config: dict) -> argparse.Namespace:
         raise UsageError("unknown config keys: %s" % ", ".join(unknown))
     given = frozenset(dest for dest in FLAGS if getattr(args, dest, None) is not None)
     values = {dest: default for dest, (_, default, _) in FLAGS.items()}
-    # a config value that a flag overrides is not checked
     values.update(
-        (dest, _check_config_value(dest, config[dest]))
-        for dest in FLAGS
-        if dest in config and dest not in given
+        (dest, _check_config_value(dest, config[dest])) for dest in FLAGS if dest in config
     )
     values.update((dest, getattr(args, dest)) for dest in given)
     cfg = argparse.Namespace(given=given, **values)

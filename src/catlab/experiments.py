@@ -20,12 +20,14 @@ import numpy as np
 
 from .arith import (
     CatMatrix,
+    _cell,
     CertificationError,
     PeriodRecord,
+    certify,
     matrix_power,
-    period_modulus,
     quantum_period,
     require_quantizable,
+    short_period_moduli,
     validate_catmap,
 )
 from .quantize import build_propagator
@@ -127,16 +129,9 @@ def _envelopes(N: int, lam: float) -> tuple[float, float, float]:
 def short_period_set(A: CatMatrix, n_max: int) -> dict[int, int]:
     """All short-period moduli N_k <= n_max mapped to their periods t_k;
     empty for a map outside the short-period hypotheses."""
-    result: dict[int, int] = {}
     if not validate_catmap(A.a, A.b, A.c, A.d).short_period_eligible:
-        return result
-    k = 1
-    while True:
-        modulus = period_modulus(A, 2 * k + 1)
-        if modulus > n_max:
-            return result
-        result[modulus] = 2 * k + 1
-        k += 1
+        return {}
+    return dict(short_period_moduli(A, n_max))
 
 
 def clustered_spectrum(
@@ -269,11 +264,7 @@ def eigenfunction_profile(A: CatMatrix, N: int, allow_even: bool = False) -> np.
     result = supnorm_summary(report)
     profile = np.abs(result.witness)
     drift = abs(float(np.sum(profile**2)) - 1.0)
-    if drift > 1e-10:
-        raise CertificationError(
-            "eigenfunction profile at N=%d: witness normalization drift %.3e"
-            " exceeds %.3e" % (N, drift, 1e-10)
-        )
+    certify("eigenfunction profile", N, "witness normalization drift", drift, 1e-10)
     return profile
 
 
@@ -302,16 +293,11 @@ def dispersive_scan(
         power = prop.entries
         for j in range(1, j_max + 1):
             drift = float(np.abs(power.conj().T @ power - identity).max())
-            if drift > DRIFT_TOL:
+            try:
+                certify("dispersive power M^%d" % j, N, "unitarity drift", drift, DRIFT_TOL)
+            except CertificationError as exc:
                 records.append(
-                    DispersiveRecord(
-                        N=N,
-                        j=j,
-                        norm_1_inf=None,
-                        bound=None,
-                        error="dispersive power M^%d at N=%d: unitarity drift"
-                        " %.3e exceeds DRIFT_TOL %.3e" % (j, N, drift, DRIFT_TOL),
-                    )
+                    DispersiveRecord(N=N, j=j, norm_1_inf=None, bound=None, error=str(exc))
                 )
                 break
             b_j = matrix_power(A, j).b
@@ -440,10 +426,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        # float() first: repr of an np.float64 is "np.float64(...)"
-        return repr(float(value))
-    return str(value)
+    return _cell(value)
 
 
 def write_table(fields: Sequence[str], rows: Iterable[Iterable], fh: IO[str]) -> None:

@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .arith import CatMatrix, CertificationError, require_quantizable
+from .arith import CatMatrix, certify, require_quantizable
 
 __all__ = [
     "Propagator",
@@ -142,19 +142,10 @@ def build_propagator(A: CatMatrix, N: int, allow_even: bool = False) -> Propagat
     matrix /= np.sqrt(N * absb)
 
     residual = float(np.abs(matrix.conj().T @ matrix - np.eye(N)).max())
-    if residual > UNITARITY_TOL * np.sqrt(N):
-        raise CertificationError(
-            "propagator build at N=%d: unitarity residual %.3e exceeds %.3e"
-            % (N, residual, UNITARITY_TOL * np.sqrt(N))
-        )
+    certify("propagator build", N, "unitarity residual", residual, UNITARITY_TOL * np.sqrt(N))
     if N % 2 == 1:
         bound = np.sqrt(absb / N) + 1e-9
-        worst = float(np.abs(matrix).max())
-        if worst > bound:
-            raise CertificationError(
-                "propagator build at N=%d: entry modulus %.12f exceeds"
-                " sqrt(|b|/N) bound %.12f" % (N, worst, bound)
-            )
+        certify("propagator build", N, "entry modulus", float(np.abs(matrix).max()), bound)
     return Propagator(N=N, A=A, entries=matrix, unitarity_residual=residual)
 
 

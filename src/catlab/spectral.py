@@ -20,12 +20,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .arith import CertificationError
+from .arith import certify
 from .quantize import Propagator
 
 __all__ = [
-    "ResidualError",
-    "AmbiguousClusterError",
     "EigenCluster",
     "SpectrumReport",
     "SupnormResult",
@@ -49,15 +47,6 @@ RESIDUAL_TOL = 1e-8
 MODULUS_TOL = 1e-8
 SCALAR_TOL = 1e-7
 CLUSTER_TOL = 1e-7
-
-
-class ResidualError(CertificationError):
-    """Eigensystem residuals (or eigenvalue moduli) exceeded certification bounds."""
-
-
-class AmbiguousClusterError(CertificationError):
-    """An eigenvalue sits too close to two different cluster representatives,
-    or farther than CLUSTER_TOL from the nearest one."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,7 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     Uses the complex Schur form, whose basis is orthonormal by
     construction; for a unitary input the Schur factor is diagonal to
     machine precision, so its columns are eigenvectors. Raises
-    ResidualError when per-pair residuals exceed RESIDUAL_TOL*sqrt(N) or
+    CertificationError when per-pair residuals exceed RESIDUAL_TOL*sqrt(N) or
     any eigenvalue modulus strays from 1 by more than MODULUS_TOL; scipy's
     LinAlgError propagates on solver non-convergence.
     """
@@ -128,18 +117,10 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     vectors = Z[:, order]
 
     residuals = np.linalg.norm(matrix @ vectors - vectors * values[None, :], axis=0)
-    worst = float(residuals.max()) if n else 0.0
-    if worst > RESIDUAL_TOL * math.sqrt(n):
-        raise ResidualError(
-            "N=%d: eigenpair residual %.3e exceeds %.3e"
-            % (n, worst, RESIDUAL_TOL * math.sqrt(n))
-        )
-    moduli = np.abs(values)
-    if moduli.size and (moduli.max() > 1 + MODULUS_TOL or moduli.min() < 1 - MODULUS_TOL):
-        raise ResidualError(
-            "N=%d: eigenvalue modulus strays from the unit circle by %.3e"
-            " (bound %.3e)" % (n, float(np.abs(moduli - 1).max()), MODULUS_TOL)
-        )
+    worst = float(residuals.max(initial=0.0))
+    certify("eigensolve", n, "eigenpair residual", worst, RESIDUAL_TOL * math.sqrt(n))
+    stray = float(np.abs(np.abs(values) - 1).max(initial=0.0))
+    certify("eigensolve", n, "max |modulus - 1|", stray, MODULUS_TOL)
     return SpectrumReport(
         N=n,
         matrix=matrix,
@@ -149,45 +130,28 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     )
 
 
-def _circular_distance(x: np.ndarray | float, y: float) -> np.ndarray | float:
-    d = np.mod(np.asarray(x) - y, TWO_PI)
-    return np.minimum(d, TWO_PI - d)
-
-
 def _snap_clusters(report: SpectrumReport, n: int) -> SpectrumReport:
     power = np.linalg.matrix_power(report.matrix, n)
     scalar = power[0, 0]
     off = float(np.abs(power - scalar * np.eye(report.N)).max())
-    if off > SCALAR_TOL:
-        raise ResidualError(
-            "N=%d: matrix power %d is not scalar (residual %.3e exceeds %.3e);"
-            " wrong period?" % (report.N, n, off, SCALAR_TOL)
-        )
-    if abs(abs(scalar) - 1) > SCALAR_TOL:
-        raise ResidualError(
-            "N=%d: scalar matrix power %d strays from the unit circle by %.3e"
-            " (bound %.3e)" % (report.N, n, abs(abs(scalar) - 1), SCALAR_TOL)
-        )
+    certify("clustering", report.N, "off-scalar residual of M^%d" % n, off, SCALAR_TOL)
+    certify("clustering", report.N, "||M^%d[0,0]| - 1|" % n, abs(abs(scalar) - 1), SCALAR_TOL)
     phi = float(np.angle(scalar))
     roots = np.mod((phi + TWO_PI * np.arange(n)) / n, TWO_PI)
     phases = np.mod(np.angle(report.eigenvalues), TWO_PI)
 
+    # Circular distances of each phase (rows) to each root (columns). An
+    # eigenvalue at distance d from its nearest root lies 2*pi/n - d from
+    # the second nearest, which must stay beyond 2*CLUSTER_TOL.
+    dist = np.mod(roots[None, :] - phases[:, None], TWO_PI)
+    dist = np.minimum(dist, TWO_PI - dist)
+    nearest = np.argmin(dist, axis=1)
+    snap = float(dist.min(axis=1).max())
+    bound = CLUSTER_TOL if n == 1 else min(CLUSTER_TOL, TWO_PI / n - 2 * CLUSTER_TOL)
+    certify("clustering", report.N, "largest snap distance", snap, bound)
     members: dict[int, list[int]] = {}
-    for i, theta in enumerate(phases):
-        dist = _circular_distance(roots, float(theta))
-        nearest = int(np.argmin(dist))
-        runner_up = np.partition(dist, 1)[1] if n > 1 else math.inf
-        if runner_up < 2 * CLUSTER_TOL:
-            raise AmbiguousClusterError(
-                "N=%d: eigenvalue %d lies %.3e from a second period-%d root,"
-                " within 2*tol %.3e" % (report.N, i, runner_up, n, 2 * CLUSTER_TOL)
-            )
-        if dist[nearest] > CLUSTER_TOL:
-            raise AmbiguousClusterError(
-                "N=%d: eigenvalue %d lies %.3e from its nearest period-%d root"
-                " (tol %.3e)" % (report.N, i, dist[nearest], n, CLUSTER_TOL)
-            )
-        members.setdefault(nearest, []).append(i)
+    for i, m in enumerate(nearest.tolist()):
+        members.setdefault(m, []).append(i)
 
     order = sorted(members, key=lambda m: roots[m])
     clusters = tuple(

@@ -3,6 +3,7 @@ once per session and consumed by both the module-invariant test and the
 acceptance criterion. Also runners for `python -m catlab.cli` in a fresh
 interpreter, and scan stages patched inside scan worker processes."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import catlab
-from catlab import experiments, quantize
+from catlab import arith, experiments, quantize
 from catlab.arith import CatMatrix, validate_catmap
 from catlab.experiments import clustered_spectrum, process_map
 from catlab.spectral import supnorm_summary
@@ -122,6 +123,19 @@ def run_cli_module():
         )
 
     return run
+
+
+@pytest.fixture
+def off_by_one_period(monkeypatch):
+    """arith.quantum_period reports n_N + 1, so the closed-form short
+    periods t_k no longer match it."""
+    real = arith.quantum_period
+
+    def off_by_one(A, N):
+        record = real(A, N)
+        return dataclasses.replace(record, n_N=record.n_N + 1)
+
+    monkeypatch.setattr(arith, "quantum_period", off_by_one)
 
 
 @pytest.fixture

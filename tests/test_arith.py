@@ -1,17 +1,24 @@
-"""Exact-arithmetic tests: admissibility, recurrences, orders, periods."""
+"""Exact-arithmetic tests: admissibility, recurrences, orders, periods,
+and the one certification check every stage goes through."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catlab import arith
+import catlab
+from catlab import arith, experiments, quantize, spectral
 from catlab.arith import (
     IDENTITY,
     CatMatrix,
     CertificationError,
     ParityRule,
+    certify,
     matrix_order_mod,
     matrix_power,
     p_sequence,
@@ -214,7 +221,8 @@ class TestPeriodModulus:
 
     def test_congruence_failure_raises(self, monkeypatch):
         monkeypatch.setattr(arith, "matrix_power", lambda A, k: CatMatrix(2, 0, 0, 1))
-        match = r"period modulus N=5: A\^3 mod N is \(2, 0, 0, 1\), expected the identity"
+        # A^3 - I is patched to [[1, 0], [0, 0]]
+        match = r"^period modulus at N=5: largest residue of A\^3 - I mod N 1 exceeds 0$"
         with pytest.raises(CertificationError, match=match):
             period_modulus(A, 3)
 
@@ -244,7 +252,8 @@ class TestQuantumPeriod:
     def test_order_failure_raises(self, monkeypatch):
         # A^2 - I = [[6, 12], [4, 6]], which is not 0 mod 5
         monkeypatch.setattr(arith, "matrix_order_mod", lambda A, N: 2)
-        match = r"quantum period at N=5: A\^T_N - I has entry 1 mod N at T_N=2, expected 0"
+        # the residues of A^2 - I mod 5 are 1, 2, 4, 1
+        match = r"^quantum period at N=5: largest residue of A\^T_N - I mod N 4 exceeds 0$"
         with pytest.raises(CertificationError, match=match):
             quantum_period(A, 5)
 
@@ -287,3 +296,159 @@ class TestShortPeriodSequence:
     def test_periods_match_quantum_period(self):
         for modulus, period in short_period_sequence(A, 6):
             assert quantum_period(A, modulus).n_N == period
+
+
+class TestCertify:
+    def test_value_at_bound_passes(self):
+        certify("stage", 5, "check", 1e-9, 1e-9)
+        certify("stage", 5, "check", 0, 0)
+
+    def test_value_past_bound_names_everything(self):
+        with pytest.raises(CertificationError) as info:
+            certify("propagator build", 31, "unitarity residual", 2.5e-15, np.float64(1e-30))
+        assert str(info.value) == (
+            "propagator build at N=31: unitarity residual 2.5e-15 exceeds 1e-30"
+        )
+
+    def test_nan_fails(self):
+        with pytest.raises(CertificationError, match=r"^s at N=3: c nan exceeds 1\.0$"):
+            certify("s", 3, "c", math.nan, 1.0)
+
+    def test_int_value_prints_as_int(self):
+        with pytest.raises(CertificationError, match=r"^s at N=5: c 4 exceeds 0$"):
+            certify("s", 5, "c", 4, 0)
+
+
+def _raised(call):
+    with pytest.raises(CertificationError) as info:
+        call()
+    return str(info.value)
+
+
+def _scalar_report(value, N):
+    """A diagonal report whose matrix is value times the identity."""
+    values = np.full(N, value, dtype=np.complex128)
+    return spectral.SpectrumReport(
+        N=N,
+        matrix=np.diag(values),
+        eigenvalues=values,
+        eigenvectors=np.eye(N, dtype=np.complex128),
+        residuals=np.zeros(N),
+    )
+
+
+def _doubled_phases(patch):
+    # entries twice their size: unitarity residual 3 passes a bound of
+    # sqrt(15), the entry bound sqrt(3/15) does not
+    real = quantize._phase_grid
+    patch.setattr(quantize, "UNITARITY_TOL", 1.0)
+    patch.setattr(quantize, "_phase_grid", lambda v, L: 2 * real(v, L))
+
+
+# (stage, check, patch, call returning the failure message) for every
+# certify call in the library, driven past its bound.
+CHECKS = [
+    (
+        "quantum period", "largest residue of A^T_N - I mod N",
+        lambda patch: patch.setattr(arith, "matrix_order_mod", lambda A, N: 2),
+        lambda: _raised(lambda: quantum_period(A, 5)),
+    ),
+    (
+        "period modulus", "largest residue of A^3 - I mod N",
+        lambda patch: patch.setattr(arith, "matrix_power", lambda A, k: CatMatrix(2, 0, 0, 1)),
+        lambda: _raised(lambda: period_modulus(A, 3)),
+    ),
+    (
+        "short-period modulus", "(N + 1) mod 2",
+        lambda patch: patch.setattr(arith, "period_modulus", lambda A, k: 4),
+        lambda: _raised(lambda: short_period_sequence(A, 1)),
+    ),
+    (
+        # t_1 = 3 exceeds 2*log_lambda(3) + 1 = 2.67
+        "short-period modulus", "t_k - 2*log_lambda(N) - 1",
+        lambda patch: patch.setattr(arith, "period_modulus", lambda A, k: 3),
+        lambda: _raised(lambda: short_period_sequence(A, 1)),
+    ),
+    (
+        "short-period modulus", "|n_N - t_k|",
+        "off_by_one_period",
+        lambda: _raised(lambda: short_period_sequence(A, 1)),
+    ),
+    (
+        "propagator build", "unitarity residual",
+        lambda patch: patch.setattr(quantize, "UNITARITY_TOL", 1e-30),
+        lambda: _raised(lambda: experiments.clustered_spectrum(A, 31)),
+    ),
+    (
+        "propagator build", "entry modulus",
+        _doubled_phases,
+        lambda: _raised(lambda: quantize.build_propagator(A, 15)),
+    ),
+    (
+        "eigensolve", "eigenpair residual",
+        lambda patch: patch.setattr(spectral, "RESIDUAL_TOL", -1.0),
+        lambda: _raised(lambda: experiments.clustered_spectrum(A, 5)),
+    ),
+    (
+        "eigensolve", "max |modulus - 1|",
+        lambda patch: patch.setattr(spectral, "MODULUS_TOL", -1.0),
+        lambda: _raised(lambda: experiments.clustered_spectrum(A, 5)),
+    ),
+    (
+        # N=5 has quantum period 3, so M^2 is not scalar
+        "clustering", "off-scalar residual of M^2",
+        lambda patch: None,
+        lambda: _raised(
+            lambda: spectral.cluster_eigenvalues(
+                spectral.eigendecompose(quantize.build_propagator(A, 5)), n=2, lam=LAMBDA
+            )
+        ),
+    ),
+    (
+        "clustering", "||M^1[0,0]| - 1|",
+        lambda patch: None,
+        lambda: _raised(lambda: spectral.cluster_eigenvalues(_scalar_report(0.5, 3), n=1)),
+    ),
+    (
+        "clustering", "largest snap distance",
+        lambda patch: patch.setattr(spectral, "CLUSTER_TOL", 10),
+        lambda: _raised(lambda: experiments.clustered_spectrum(A, 71)),
+    ),
+    (
+        "eigenfunction profile", "witness normalization drift",
+        "drifted_witness",
+        lambda: _raised(lambda: experiments.eigenfunction_profile(A, 71)),
+    ),
+    (
+        # an error row, not an exception: the scan moves on to the next N
+        "dispersive power M^1", "unitarity drift",
+        lambda patch: patch.setattr(experiments, "DRIFT_TOL", 0.0),
+        lambda: experiments.dispersive_scan(A, [15], 3)[0].error,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, check, patch, fail",
+    CHECKS,
+    ids=[re.sub(r"\W+", "_", "%s %s" % case[:2]).strip("_") for case in CHECKS],
+)
+def test_every_check_names_stage_n_check_value_and_bound(
+    request, monkeypatch, stage, check, patch, fail
+):
+    if isinstance(patch, str):
+        request.getfixturevalue(patch)
+    else:
+        patch(monkeypatch)
+    pattern = r"%s at N=\d+: %s \S+ exceeds \S+" % (re.escape(stage), re.escape(check))
+    assert re.fullmatch(pattern, fail())
+
+
+def test_every_certify_call_has_a_failure_case():
+    calls = [
+        node
+        for path in Path(catlab.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "certify"
+    ]
+    assert len(calls) == len(CHECKS)

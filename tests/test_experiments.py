@@ -93,6 +93,12 @@ class TestShortPeriodSet:
     def test_empty_below_first(self):
         assert short_period_set(A, 4) == {}
 
+    def test_certifies_periods_as_the_sequence_does(self, off_by_one_period):
+        with pytest.raises(
+            CertificationError, match=r"^short-period modulus at N=5: \|n_N - t_k\| 1 exceeds 0$"
+        ):
+            short_period_set(A, 201)
+
     def test_empty_outside_hypotheses(self):
         # quantizable, but gcd(b, c) = 15 fails the short-period hypotheses
         assert short_period_set(CatMatrix(26, 45, 15, 26), 10**6) == {}
@@ -141,8 +147,9 @@ class TestScan:
         monkeypatch.setattr(quantize, "UNITARITY_TOL", 1e-30)
         records = scan_supnorms(A, 5, 5)
         assert len(records) == 1
-        assert records[0].error.startswith(
-            "propagator build at N=5: unitarity residual"
+        assert re.fullmatch(
+            r"propagator build at N=5: unitarity residual \S+ exceeds 2\.23606797749979e-30",
+            records[0].error,
         )
         assert records[0].max_supnorm is None
         assert records[0].N == 5
@@ -225,7 +232,7 @@ class TestProfile:
         with pytest.raises(
             CertificationError,
             match=r"^eigenfunction profile at N=71: witness normalization drift"
-            r" 2\.010e-02 exceeds 1\.000e-10$",
+            r" 0\.020100\d* exceeds 1e-10$",
         ):
             eigenfunction_profile(A, 71)
 
@@ -268,8 +275,7 @@ class TestDispersive:
             (17, 1, None, None),
         ]
         assert re.fullmatch(
-            r"dispersive power M\^1 at N=15: unitarity drift \S+"
-            r" exceeds DRIFT_TOL 0\.000e\+00",
+            r"dispersive power M\^1 at N=15: unitarity drift \S+ exceeds 0\.0",
             records[0].error,
         )
         assert list(records[0].to_dict()) == [*DISPERSIVE_FIELDS, "error"]

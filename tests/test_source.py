@@ -35,3 +35,31 @@ def test_readme_lists_the_flags_of_each_command():
         name: [cli._option(dest) for dest in flags] for name, _, flags, _ in cli.COMMANDS
     }
     assert declared and listed == declared
+
+
+def test_certification_errors_raised_only_by_certify():
+    # every certification check goes through arith.certify, so every
+    # failure message has its one format; a subclass would be a second
+    # kind of failure that only the tests tell apart
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    kinds = {"CertificationError"}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and kinds & {ast.unparse(b) for b in node.bases}:
+                kinds.add(node.name)
+    allowed = {
+        id(inner)
+        for node in trees["arith.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "certify"
+        for inner in ast.walk(node)
+    }
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and ast.unparse(getattr(node.exc, "func", node.exc)).rsplit(".", 1)[-1] in kinds
+        and id(node) not in allowed
+    ]
+    assert found == [] and kinds == {"CertificationError"}

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from catlab import spectral
-from catlab.arith import CatMatrix, quantum_period, validate_catmap
+from catlab.arith import CatMatrix, CertificationError, quantum_period, validate_catmap
 from catlab.quantize import build_propagator
 from catlab.spectral import (
-    AmbiguousClusterError,
-    ResidualError,
     SpectrumReport,
     averaging_operator,
     cluster_eigenvalues,
@@ -94,14 +92,14 @@ class TestEigendecompose:
         assert np.abs(cubes - cubes[0]).max() < 1e-10
 
     def test_rejects_nonunitary(self):
-        match = "N=2: eigenvalue modulus strays from the unit circle by 1.000e\\+00"
-        with pytest.raises(ResidualError, match=match):
+        match = r"^eigensolve at N=2: max \|modulus - 1\| 1\.0 exceeds 1e-08$"
+        with pytest.raises(CertificationError, match=match):
             eigendecompose(np.diag([2.0, 0.5]))
 
     def test_residual_failure_names_n_value_and_bound(self):
         # a Jordan block: its Schur vectors are not eigenvectors
-        match = "N=2: eigenpair residual 1.000e\\+00 exceeds 1.414e-08"
-        with pytest.raises(ResidualError, match=match):
+        match = r"^eigensolve at N=2: eigenpair residual 1\.0 exceeds 1\.4142135623730952e-08$"
+        with pytest.raises(CertificationError, match=match):
             eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
@@ -148,8 +146,10 @@ class TestClustering:
         monkeypatch.setattr(spectral, "CLUSTER_TOL", 1.1)
         values = np.exp(2j * np.pi * np.arange(3) / 3)
         report = synthetic_report(values)
-        match = "N=3: eigenvalue 0 lies 2.094e\\+00 from a second period-3 root"
-        with pytest.raises(AmbiguousClusterError, match=match):
+        # the bound min(1.1, 2*pi/3 - 2.2) is negative: roots 2*pi/3 apart
+        # cannot be told apart at this tolerance
+        match = r"^clustering at N=3: largest snap distance \S+ exceeds -0\.10560\d+$"
+        with pytest.raises(CertificationError, match=match):
             cluster_eigenvalues(report, n=3, lam=1.01)
 
     def test_snap_rejects_eigenvalue_off_its_root(self, prop5):
@@ -157,18 +157,24 @@ class TestClustering:
         values = report.eigenvalues.copy()
         values[2] *= np.exp(10j * spectral.CLUSTER_TOL)
         perturbed = replace(report, eigenvalues=values)
-        with pytest.raises(AmbiguousClusterError, match="N=5: eigenvalue 2 lies 1.000e-06"):
+        # the perturbed eigenvalue lies 1e-6 from its root, to rounding
+        match = (
+            r"^clustering at N=5: largest snap distance"
+            r" (9\.9999\d*e-07|1\.0000\d*e-06) exceeds 1e-07$"
+        )
+        with pytest.raises(CertificationError, match=match):
             cluster_eigenvalues(perturbed, n=3, lam=LAM)
 
     def test_snap_rejects_wrong_period(self, prop5):
         report = eigendecompose(prop5)
-        with pytest.raises(ResidualError, match="N=5: matrix power 2 is not scalar"):
+        match = r"^clustering at N=5: off-scalar residual of M\^2 \S+ exceeds 1e-07$"
+        with pytest.raises(CertificationError, match=match):
             cluster_eigenvalues(report, n=2, lam=LAM)
 
     def test_snap_rejects_scalar_power_off_the_unit_circle(self):
         report = synthetic_report(0.5 * np.ones(3))
-        match = "N=3: scalar matrix power 1 strays from the unit circle by 5.000e-01"
-        with pytest.raises(ResidualError, match=match):
+        match = r"^clustering at N=3: \|\|M\^1\[0,0\]\| - 1\| 0\.5 exceeds 1e-07$"
+        with pytest.raises(CertificationError, match=match):
             cluster_eigenvalues(report, n=1)
 
 
