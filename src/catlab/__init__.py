@@ -22,8 +22,6 @@ from .arith import (
 from .quantize import (
     Propagator,
     build_propagator,
-    egorov_defect,
-    translation_matrix,
 )
 from .spectral import (
     SpectrumReport,
@@ -31,7 +29,6 @@ from .spectral import (
     cluster_eigenvalues,
     eigendecompose,
     extremal_supnorm,
-    op_norm_1_inf,
     op_norm_2_inf,
     projector,
     supnorm_summary,
@@ -63,13 +60,11 @@ __all__ = [
     "cluster_eigenvalues",
     "clustered_spectrum",
     "dispersive_scan",
-    "egorov_defect",
     "eigendecompose",
     "eigenfunction_profile",
     "extremal_supnorm",
     "matrix_order_mod",
     "matrix_power",
-    "op_norm_1_inf",
     "op_norm_2_inf",
     "p_sequence",
     "period_modulus",
@@ -79,7 +74,6 @@ __all__ = [
     "short_period_sequence",
     "short_period_set",
     "supnorm_summary",
-    "translation_matrix",
     "validate_catmap",
     "verify_bounds",
 ]

@@ -30,12 +30,11 @@ from .arith import (
     short_period_moduli,
     validate_catmap,
 )
-from .quantize import build_propagator
+from .quantize import build_propagator, intertwining_defect
 from .spectral import (
     SpectrumReport,
     cluster_eigenvalues,
     eigendecompose,
-    op_norm_1_inf,
     supnorm_summary,
 )
 
@@ -192,8 +191,9 @@ def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[
 # Sweeps record failed certification checks and domain rejections
 # (ValueError, which covers LinAlgError) as error rows; bugs propagate.
 _ROW_ERRORS = (ValueError, CertificationError)
-# Certification bound on the unitarity drift max|P^H P - I| of each
-# propagator power P in dispersive_scan.
+# Certification bound in dispersive_scan on the squared norm drift
+# |||M^j e_0||^2 - 1| of each evolved column, and on the intertwining
+# defect of the propagator that makes one column stand for all of M^j.
 DRIFT_TOL = 1e-7
 
 
@@ -273,12 +273,18 @@ def dispersive_scan(
 ) -> list[DispersiveRecord]:
     """Largest entry modulus of propagator powers M^j for 1 <= j <= j_max.
 
-    Powers are built by repeated multiplication with a unitarity drift
-    check against DRIFT_TOL at every step (a drift violation aborts that
-    N with an error row and moves on). The comparison bound
-    sqrt(|b_j|/N) comes from the exact integer power of the map, keeping
-    the two sides of the check independent. Every N is validated before
-    any propagator is built.
+    M^j intertwines translations, M^j U_v = phase * U_(A^j v) M^j, and
+    e_k = U_(k,0) e_0, so every column of M^j holds the moduli of column 0
+    cyclically shifted: the largest entry of M^j is the largest entry of
+    x_j = M^j e_0. The column is evolved one matvec per power, x_j = M
+    x_(j-1), and its squared l2 norm is checked against 1 within
+    DRIFT_TOL at every power. The first power also certifies the
+    intertwining the shift argument rests on: quantize.intertwining_defect
+    of M within DRIFT_TOL. A failed check ends that N with an error row
+    and the scan moves on. The comparison bound sqrt(|b_j|/N) comes from
+    the exact integer power of the map, keeping the two sides of the
+    check independent. Every N is validated before any propagator is
+    built.
     """
     require_quantizable(A)
     if j_max < 1:
@@ -289,12 +295,14 @@ def dispersive_scan(
     records: list[DispersiveRecord] = []
     for N in N_list:
         prop = build_propagator(A, N)
-        identity = np.eye(N)
-        power = prop.entries
+        column = prop.entries[:, 0].copy()
         for j in range(1, j_max + 1):
-            drift = float(np.abs(power.conj().T @ power - identity).max())
+            drift = abs(float(np.vdot(column, column).real) - 1.0)
             try:
-                certify("dispersive power M^%d" % j, N, "unitarity drift", drift, DRIFT_TOL)
+                certify("dispersive power M^%d" % j, N, "column norm drift", drift, DRIFT_TOL)
+                if j == 1:
+                    defect = intertwining_defect(prop)
+                    certify("dispersive column", N, "intertwining defect", defect, DRIFT_TOL)
             except CertificationError as exc:
                 records.append(
                     DispersiveRecord(N=N, j=j, norm_1_inf=None, bound=None, error=str(exc))
@@ -309,15 +317,10 @@ def dispersive_scan(
             else:
                 bound = None
             records.append(
-                DispersiveRecord(
-                    N=N,
-                    j=j,
-                    norm_1_inf=op_norm_1_inf(power),
-                    bound=bound,
-                )
+                DispersiveRecord(N=N, j=j, norm_1_inf=float(np.abs(column).max()), bound=bound)
             )
             if j < j_max:
-                power = power @ prop.entries
+                column = prop.entries @ column
     return records
 
 

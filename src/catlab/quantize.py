@@ -2,11 +2,10 @@
 
 The state space for inverse Planck constant 2*pi*N is identified with C^N
 through the delta-comb basis {e_j}. This module builds the propagator
-matrix of a hyperbolic torus map and the lattice translation unitaries,
-and certifies the construction through unitarity, the entry bound
-sqrt(|b|/N), and the exact intertwining of translations (the decisive
-oracle: it pins down both the kernel formula and the basis phase
-convention at once).
+matrix of a hyperbolic torus map, and certifies the construction
+through unitarity, the entry bound sqrt(|b|/N), and the exact
+intertwining of lattice translations (the decisive oracle: it pins down
+both the kernel formula and the basis phase convention at once).
 
 Phase bookkeeping is exact: every phase below is exp(2*pi*i * v/L) with
 integers v, L reduced mod L before any float conversion, so large
@@ -26,8 +25,7 @@ from .arith import CatMatrix, certify, require_quantizable
 __all__ = [
     "Propagator",
     "build_propagator",
-    "translation_matrix",
-    "egorov_defect",
+    "intertwining_defect",
     "write_matrix_csv",
     "write_matrix_binary",
     "read_matrix_binary",
@@ -60,9 +58,10 @@ class Propagator:
         return 1.0 / (2.0 * np.pi * self.N)
 
 
-# Rows of the propagator per block of the kernel's r-sum. A block's
-# index and term scratch (16 N entries each) stays in cache across the r
-# loop, and the build allocates no N x N array besides its result.
+# Rows of the propagator per block of the kernel's r-sum and of the
+# intertwining defect. A block's index and term scratch (16 N entries
+# each) stays in cache across the r loop, and neither allocates an N x N
+# array besides the build's result.
 _KERNEL_ROWS = 16
 
 
@@ -149,42 +148,36 @@ def build_propagator(A: CatMatrix, N: int, allow_even: bool = False) -> Propagat
     return Propagator(N=N, A=A, entries=matrix, unitarity_residual=residual)
 
 
-def translation_matrix(p: int, q: int, N: int) -> np.ndarray:
-    """Quantum translation by the lattice vector (p/N, q/N), an N x N unitary.
+def intertwining_defect(M: Propagator) -> float:
+    """Largest entry modulus of U_w M - M U_v, v = A^-1 w, over the
+    generators w in {(1, 0), (0, 1)}.
 
-    Derived once by applying the translation operator to the delta-comb
-    basis: e_j picks up phase exp(i*pi*(p*q + 2*q*j)/N) and moves to
-    e_{(j+p) mod N}. Golden tests freeze this convention.
+    U_(p,q) is the quantum translation by (p/N, q/N): it moves e_j to
+    e_((j+p) mod N) with phase exp(i*pi*(p*q + 2*q*j)/N). The map
+    intertwines translations exactly, U_w M = M U_(A^-1 w), so near
+    machine precision certifies the kernel formula and the translation
+    phase convention at once. U_w M is M with its rows moved and scaled,
+    M U_v is M with its columns moved and scaled, so the defect costs
+    O(N^2): it is taken over blocks of _KERNEL_ROWS rows, with no N x N
+    scratch array.
     """
-    if N < 1:
-        raise ValueError("dimension must be positive, got %d" % N)
+    A, N, entries = M.A, M.N, M.entries
     L = 2 * N
-    pq = (p * q) % L
-    q2 = (2 * q) % L
-    shift = p % N
     j = np.arange(N, dtype=np.int64)
-    phases = _phase_grid(pq + q2 * j, L)
-    entries = np.zeros((N, N), dtype=np.complex128)
-    entries[(j + shift) % N, j] = phases
-    return entries
-
-
-def egorov_defect(M: Propagator) -> float:
-    """Max spectral-norm defect of the exact translation intertwining.
-
-    For the generators w in {(1/N, 0), (0, 1/N)} compares M^-1 U_w M with
-    the translation by A^-1 w, which stays on the lattice. Near machine
-    precision certifies the propagator and the translation phase
-    convention simultaneously.
-    """
-    A, N = M.A, M.N
-    Minv = M.entries.conj().T
     worst = 0.0
-    for (p, q) in ((1, 0), (0, 1)):
-        U = translation_matrix(p, q, N)
-        target = translation_matrix(A.d * p - A.b * q, -A.c * p + A.a * q, N)
-        defect = float(np.linalg.norm(Minv @ U @ M.entries - target, 2))
-        worst = max(worst, defect)
+    for p, q in ((1, 0), (0, 1)):
+        v_p, v_q = A.d * p - A.b * q, -A.c * p + A.a * q
+        # (U_w M)[k, l] = phase_w(k - p) M[k - p, l]
+        rows = (j - p) % N
+        row_phase = _phase_grid(p * q + 2 * q * rows, L)
+        # (M U_v)[k, l] = M[k, l + v_p] phase_v(l)
+        cols = (j + v_p % N) % N
+        col_phase = _phase_grid((v_p * v_q) % L + ((2 * v_q) % L) * j, L)
+        for k0 in range(0, N, _KERNEL_ROWS):
+            block = slice(k0, k0 + _KERNEL_ROWS)
+            left = entries[rows[block]] * row_phase[block, None]
+            right = entries[block][:, cols] * col_phase
+            worst = max(worst, float(np.abs(left - right).max()))
     return worst
 
 

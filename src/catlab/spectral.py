@@ -32,7 +32,6 @@ __all__ = [
     "projector",
     "extremal_supnorm",
     "supnorm_summary",
-    "op_norm_1_inf",
     "op_norm_2_inf",
     "averaging_operator",
     "report_to_dict",
@@ -270,12 +269,6 @@ def supnorm_summary(report: SpectrumReport) -> SupnormResult:
         witness=witness,
         cluster_dim=report.clusters[cid].dim,
     )
-
-
-def op_norm_1_inf(X: np.ndarray) -> float:
-    """The l1 -> l-infinity operator norm: the largest entry modulus."""
-    X = np.asarray(X)
-    return float(np.abs(X).max()) if X.size else 0.0
 
 
 def op_norm_2_inf(X: np.ndarray) -> float:

@@ -1,7 +1,9 @@
 """Shared heavy artifacts: the upper-bound surrogate sweep is computed
 once per session and consumed by both the module-invariant test and the
 acceptance criterion. Also runners for `python -m catlab.cli` in a fresh
-interpreter, and scan stages patched inside scan worker processes."""
+interpreter, scan stages patched inside scan worker processes, and the
+dense oracles the library's fast paths are checked against: translation
+matrices, the Egorov defect and dense propagator powers."""
 
 import dataclasses
 import math
@@ -17,9 +19,76 @@ import pytest
 
 import catlab
 from catlab import arith, experiments, quantize
-from catlab.arith import CatMatrix, validate_catmap
-from catlab.experiments import clustered_spectrum, process_map
+from catlab.arith import CatMatrix, certify, matrix_power, validate_catmap
+from catlab.experiments import DispersiveRecord, clustered_spectrum, process_map
+from catlab.quantize import Propagator, build_propagator
 from catlab.spectral import supnorm_summary
+
+
+def translation_matrix(p: int, q: int, N: int) -> np.ndarray:
+    """Quantum translation by the lattice vector (p/N, q/N), an N x N unitary.
+
+    Derived once by applying the translation operator to the delta-comb
+    basis: e_j picks up phase exp(i*pi*(p*q + 2*q*j)/N) and moves to
+    e_{(j+p) mod N}. Golden tests freeze this convention.
+    """
+    L = 2 * N
+    j = np.arange(N, dtype=np.int64)
+    phases = np.exp((2j * np.pi / L) * np.mod((p * q) % L + ((2 * q) % L) * j, L))
+    entries = np.zeros((N, N), dtype=np.complex128)
+    entries[(j + p % N) % N, j] = phases
+    return entries
+
+
+def egorov_defect(M: Propagator) -> float:
+    """Max spectral-norm defect of the exact translation intertwining.
+
+    For the generators w in {(1/N, 0), (0, 1/N)} compares M^-1 U_w M with
+    the translation by A^-1 w, which stays on the lattice: the dense
+    oracle for quantize.intertwining_defect.
+    """
+    A, N = M.A, M.N
+    Minv = M.entries.conj().T
+    worst = 0.0
+    for (p, q) in ((1, 0), (0, 1)):
+        U = translation_matrix(p, q, N)
+        target = translation_matrix(A.d * p - A.b * q, -A.c * p + A.a * q, N)
+        defect = float(np.linalg.norm(Minv @ U @ M.entries - target, 2))
+        worst = max(worst, defect)
+    return worst
+
+
+def op_norm_1_inf(X: np.ndarray) -> float:
+    """The l1 -> l-infinity operator norm: the largest entry modulus."""
+    X = np.asarray(X)
+    return float(np.abs(X).max()) if X.size else 0.0
+
+
+def dense_power_norms(A: CatMatrix, N: int, jmax: int) -> list[DispersiveRecord]:
+    """dispersive_scan at one N from dense powers: the oracle for its
+    evolved column.
+
+    M^j is formed by repeated products, each certified with its unitarity
+    drift max|P^H P - I| within experiments.DRIFT_TOL (a failure ends
+    the records with an error row), and its largest entry is the norm.
+    """
+    prop = build_propagator(A, N)
+    records = []
+    power = prop.entries
+    for j in range(1, jmax + 1):
+        drift = float(np.abs(power.conj().T @ power - np.eye(N)).max())
+        try:
+            certify("dispersive power M^%d" % j, N, "unitarity drift", drift, experiments.DRIFT_TOL)
+        except arith.CertificationError as exc:
+            records.append(DispersiveRecord(N, j, None, None, error=str(exc)))
+            break
+        b_j = matrix_power(A, j).b
+        bound = math.sqrt(abs(b_j) / N) if b_j != 0 else None
+        records.append(DispersiveRecord(N, j, op_norm_1_inf(power), bound))
+        if j < jmax:
+            power = power @ prop.entries
+    return records
+
 
 SWEEP_MAP = CatMatrix(2, 3, 1, 2)
 SWEEP_LAM = validate_catmap(2, 3, 1, 2).lam
@@ -148,6 +217,21 @@ def drifted_witness(monkeypatch):
         return result._replace(witness=1.01 * result.witness)
 
     monkeypatch.setattr(experiments, "supnorm_summary", drifted)
+
+
+@pytest.fixture
+def perturbed_propagator(monkeypatch):
+    """experiments.build_propagator adds 1e-3 to entry (2, 3) of the
+    certified propagator: column 0 keeps its exact norm, and the
+    translation intertwining breaks by about 1e-3."""
+
+    def perturbed(A, N):
+        prop = build_propagator(A, N)
+        entries = prop.entries.copy()
+        entries[2, 3] += 1e-3
+        return dataclasses.replace(prop, entries=entries)
+
+    monkeypatch.setattr(experiments, "build_propagator", perturbed)
 
 
 # Scan workers are spawned and import catlab afresh, so a monkeypatch in

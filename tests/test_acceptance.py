@@ -23,7 +23,7 @@ from catlab.arith import (
     quantum_period,
     validate_catmap,
 )
-from catlab.quantize import build_propagator, egorov_defect
+from catlab.quantize import build_propagator
 from catlab.spectral import (
     cluster_eigenvalues,
     eigendecompose,
@@ -32,6 +32,7 @@ from catlab.spectral import (
     supnorm_summary,
 )
 from catlab.experiments import dispersive_scan
+from conftest import egorov_defect
 
 A = CatMatrix(2, 3, 1, 2)
 LAM = validate_catmap(2, 3, 1, 2).lam
@@ -170,7 +171,7 @@ def test_criterion_6_upper_bound_surrogate(upper_surrogate_sweep):
 
 
 def test_criterion_7_dispersive_figure():
-    with criterion(7, "dispersive power-norm bounds at N=855", 120.0):
+    with criterion(7, "dispersive power-norm bounds at N=855", 20.0):
         records = dispersive_scan(A, [855], 50)
         assert len(records) == 50
         for r in records:

@@ -324,7 +324,7 @@ class TestDispersiveCommand:
         assert path.read_text().startswith("<svg ")
 
     def test_failed_records_reported_before_failed_svg(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "DRIFT_TOL", -1)
+        monkeypatch.setattr(experiments, "DRIFT_TOL", -1.0)
         path = tmp_path / "d.svg"
         code, _, err = run(
             capsys, "dispersive", "--n", "15", "--jmax", "3", "--svg", str(path)
@@ -333,7 +333,7 @@ class TestDispersiveCommand:
         first, *rest = err.splitlines()
         assert re.fullmatch(
             r"warning: 1 record\(s\) failed \(first: N=15: dispersive power M\^1 at N=15:"
-            r" unitarity drift \S+ exceeds -1\)",
+            r" column norm drift 0\.0 exceeds -1\.0\)",
             first,
         )
         assert rest == ["catlab: no plottable dispersive records"]

@@ -39,9 +39,18 @@ from catlab.spectral import (
     report_to_dict,
     supnorm_summary,
 )
+from conftest import dense_power_norms
 
 A = CatMatrix(2, 3, 1, 2)
 LAM = validate_catmap(2, 3, 1, 2).lam
+# Maps of trace 4 and |b| = 3 in both orientations, and one with |b| = 45.
+ORACLE_MAPS = [
+    A,
+    CatMatrix(2, -3, -1, 2),
+    CatMatrix(8, 3, -11, -4),
+    CatMatrix(-4, 3, -11, 8),
+    CatMatrix(26, 45, 15, 26),
+]
 
 
 @pytest.fixture(scope="module")
@@ -268,17 +277,54 @@ class TestDispersive:
             dispersive_scan(A, [401, 4], 40)
 
     def test_drift_past_bound_ends_n_with_error_row(self, monkeypatch):
-        monkeypatch.setattr(experiments, "DRIFT_TOL", 0.0)
+        # the first column's drift is exactly 0.0 at N=15, so only a
+        # negative bound fails it
+        monkeypatch.setattr(experiments, "DRIFT_TOL", -1.0)
         records = dispersive_scan(A, [15, 17], 3)
         assert [(r.N, r.j, r.norm_1_inf, r.bound) for r in records] == [
             (15, 1, None, None),
             (17, 1, None, None),
         ]
         assert re.fullmatch(
-            r"dispersive power M\^1 at N=15: unitarity drift \S+ exceeds 0\.0",
+            r"dispersive power M\^1 at N=15: column norm drift 0\.0 exceeds -1\.0",
             records[0].error,
         )
         assert list(records[0].to_dict()) == [*DISPERSIVE_FIELDS, "error"]
+
+    def test_intertwining_defect_ends_n_with_error_row(self, perturbed_propagator):
+        records = dispersive_scan(A, [15, 17], 3)
+        assert [(r.N, r.j, r.norm_1_inf, r.bound) for r in records] == [
+            (15, 1, None, None),
+            (17, 1, None, None),
+        ]
+        assert re.fullmatch(
+            r"dispersive column at N=15: intertwining defect 0\.001\d* exceeds 1e-07",
+            records[0].error,
+        )
+
+    @pytest.mark.parametrize("matrix", ORACLE_MAPS)
+    @pytest.mark.parametrize("N", [15, 33, 101])
+    def test_matches_dense_power_oracle(self, matrix, N):
+        records = dispersive_scan(matrix, [N], 12)
+        dense = dense_power_norms(matrix, N, 12)
+        assert [(r.N, r.j, r.bound, r.error) for r in records] == [
+            (r.N, r.j, r.bound, r.error) for r in dense
+        ]
+        for fast, oracle in zip(records, dense):
+            assert fast.norm_1_inf == pytest.approx(oracle.norm_1_inf, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "matrix", [A, CatMatrix(4, 3, 5, 4), CatMatrix(26, 45, 15, 26)]
+    )
+    def test_norm_is_sqrt_gcd_over_n(self, matrix):
+        # the largest entry of M^j has modulus sqrt(gcd(b_j, N)/N), with
+        # gcd(0, N) = N: sharper than the bound sqrt(|b_j|/N)
+        Ns = [101, 243, 625, 855]
+        records = dispersive_scan(matrix, Ns, 40)
+        assert [(r.N, r.j) for r in records] == [(N, j) for N in Ns for j in range(1, 41)]
+        for r in records:
+            exact = math.sqrt(math.gcd(matrix_power(matrix, r.j).b, r.N) / r.N)
+            assert r.norm_1_inf == pytest.approx(exact, rel=1e-12)
 
 
 class TestVerifyBounds:

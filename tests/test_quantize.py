@@ -20,12 +20,12 @@ from catlab.arith import CatMatrix, CertificationError, matrix_power, quantum_pe
 from catlab.quantize import (
     Propagator,
     build_propagator,
-    egorov_defect,
+    intertwining_defect,
     read_matrix_binary,
-    translation_matrix,
     write_matrix_csv,
     write_matrix_binary,
 )
+from conftest import egorov_defect, translation_matrix
 
 A = CatMatrix(2, 3, 1, 2)
 A2 = CatMatrix(2, 1, 3, 2)
@@ -226,6 +226,40 @@ class TestPropagator:
             N=5, A=A, entries=entries, unitarity_residual=prop.unitarity_residual
         )
         assert egorov_defect(perturbed) > 1e-4
+        assert intertwining_defect(perturbed) > 1e-4
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            A,
+            CatMatrix(2, -3, -1, 2),
+            CatMatrix(8, 3, -11, -4),
+            CatMatrix(-4, 3, -11, 8),
+            CatMatrix(26, 45, 15, 26),
+            CatMatrix(26, -45, -15, 26),
+            HUGE_B3,
+        ],
+    )
+    @pytest.mark.parametrize("N", [1, 15, 33, 101])
+    def test_intertwining_defect_matches_dense_oracle(self, matrix, N):
+        # the entrywise and the spectral-norm defect both vanish to
+        # rounding on an exact propagator
+        prop = build_propagator(matrix, N)
+        assert intertwining_defect(prop) == pytest.approx(egorov_defect(prop), abs=1e-14)
+
+    def test_intertwining_defect_sees_one_phase_error(self):
+        # every entry has modulus sqrt(gcd(3, 101)/101), so a phase error
+        # of 1e-3 in one entry moves it by 1e-3 / sqrt(101)
+        prop = build_propagator(A, 101)
+        entries = prop.entries.copy()
+        entries[7, 40] *= np.exp(1e-3j)
+        perturbed = Propagator(
+            N=101, A=A, entries=entries, unitarity_residual=prop.unitarity_residual
+        )
+        assert intertwining_defect(prop) < 1e-14
+        assert intertwining_defect(perturbed) == pytest.approx(
+            1e-3 / math.sqrt(101), rel=1e-6
+        )
 
     def test_negative_b_matrix(self):
         # conjugate dynamics with b < 0: construction must still certify

@@ -15,12 +15,12 @@ from catlab.spectral import (
     cluster_eigenvalues,
     eigendecompose,
     extremal_supnorm,
-    op_norm_1_inf,
     op_norm_2_inf,
     projector,
     report_to_dict,
     supnorm_summary,
 )
+from conftest import op_norm_1_inf
 
 A = CatMatrix(2, 3, 1, 2)
 LAM = validate_catmap(2, 3, 1, 2).lam
