@@ -25,11 +25,8 @@ from .quantize import (
 )
 from .spectral import (
     SpectrumReport,
-    averaging_operator,
     cluster_eigenvalues,
     eigendecompose,
-    extremal_supnorm,
-    op_norm_2_inf,
     projector,
     supnorm_summary,
 )
@@ -55,17 +52,14 @@ __all__ = [
     "Propagator",
     "ScanRecord",
     "SpectrumReport",
-    "averaging_operator",
     "build_propagator",
     "cluster_eigenvalues",
     "clustered_spectrum",
     "dispersive_scan",
     "eigendecompose",
     "eigenfunction_profile",
-    "extremal_supnorm",
     "matrix_order_mod",
     "matrix_power",
-    "op_norm_2_inf",
     "p_sequence",
     "period_modulus",
     "projector",

@@ -293,9 +293,6 @@ def quantum_period(A: CatMatrix, N: int) -> PeriodRecord:
     )
 
 
-# Above this power, skip the (cheap but not free) big-integer congruence
-# re-verification inside period_modulus.
-_VERIFY_CAP = 512
 # short_period_moduli re-checks moduli up to this bound with quantum_period.
 _VERIFY_BELOW = 10**6
 
@@ -305,7 +302,8 @@ def period_modulus(A: CatMatrix, k: int) -> int:
 
     Closed form from the entry recurrence: 2*p_m for k = 2m, and
     p_m + p_{m+1} for k = 2m + 1. Requires the coprime-off-diagonal,
-    even-trace hypotheses.
+    even-trace hypotheses. Every modulus is certified: A^k - I, computed
+    in exact integers, must vanish mod N.
     """
     if k < 1:
         raise ValueError("index must be positive, got %d" % k)
@@ -316,9 +314,8 @@ def period_modulus(A: CatMatrix, k: int) -> int:
         modulus = 2 * p_sequence(trace, m)
     else:
         modulus = p_sequence(trace, m) + p_sequence(trace, m + 1)
-    if k <= _VERIFY_CAP:
-        residue = _residue(matrix_power(A, k), modulus)
-        certify("period modulus", modulus, "largest residue of A^%d - I mod N" % k, residue, 0)
+    residue = _residue(matrix_power(A, k), modulus)
+    certify("period modulus", modulus, "largest residue of A^%d - I mod N" % k, residue, 0)
     return modulus
 
 

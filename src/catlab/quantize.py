@@ -53,10 +53,6 @@ class Propagator:
     entries: np.ndarray
     unitarity_residual: float
 
-    @property
-    def h(self) -> float:
-        return 1.0 / (2.0 * np.pi * self.N)
-
 
 # Rows of the propagator per block of the kernel's r-sum and of the
 # intertwining defect. A block's index and term scratch (16 N entries

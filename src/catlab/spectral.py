@@ -1,9 +1,8 @@
 """Spectral analysis of propagator matrices.
 
 Eigendecomposition with residual certification, clustering of unit-circle
-eigenvalues into eigenspaces, extraction of the extremal sup norm of each
-eigenspace through its orthogonal projector, and the averaging-operator
-machinery behind the dispersive upper bound.
+eigenvalues into eigenspaces, and extraction of the extremal sup norm of
+each eigenspace through its orthogonal projector.
 
 The projector identity doing the real work: for the orthogonal projector
 P onto a subspace V, the largest l-infinity norm over l2-normalized
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -30,10 +29,7 @@ __all__ = [
     "eigendecompose",
     "cluster_eigenvalues",
     "projector",
-    "extremal_supnorm",
     "supnorm_summary",
-    "op_norm_2_inf",
-    "averaging_operator",
     "report_to_dict",
 ]
 
@@ -231,78 +227,45 @@ def projector(report: SpectrumReport, cluster_id: int) -> np.ndarray:
     return basis
 
 
-def extremal_supnorm(basis: np.ndarray) -> tuple[float, int, np.ndarray]:
-    """Largest sup norm over l2-normalized vectors of the eigenspace.
+def _cluster_supnorms(
+    report: SpectrumReport,
+) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Yield (value, basis, row_norms) for each cluster in phase order.
 
-    basis holds an orthonormal basis of the eigenspace in its columns.
-    Returns (value, witness_index, witness): value = max_j ||P e_j||,
-    computed as the largest row norm of the basis, and the witness
-    P e_j* / ||P e_j*|| attains it. Always >= sqrt(dim/N) by the trace
-    pigeonhole.
+    basis is the cluster's orthonormal basis from projector, row_norms
+    the l2 norms ||P e_j|| of its rows, and value = max_j ||P e_j|| the
+    cluster's extremal sup norm, always >= sqrt(dim/N) by the trace
+    pigeonhole. Lazy, so a caller holds one basis at a time.
     """
-    if not basis.size:
-        raise ValueError("eigenspace basis is empty")
-    row_norms = np.linalg.norm(basis, axis=1)
-    index = int(np.argmax(row_norms))
-    value = float(row_norms[index])
-    witness = basis @ basis[index].conj()
-    return value, index, witness / value
+    for cid in range(len(report.clusters)):
+        basis = projector(report, cid)
+        row_norms = np.linalg.norm(basis, axis=1)
+        yield float(row_norms.max()), basis, row_norms
 
 
 def supnorm_summary(report: SpectrumReport) -> SupnormResult:
     """Maximum extremal sup norm over all clusters of a clustered report.
 
-    Deterministic tie-breaking: the first cluster (by phase order)
-    attaining the maximum wins, and within a cluster the smallest
+    The witness P e_j* / ||P e_j*|| at the maximizing coordinate j*
+    attains it. Deterministic tie-breaking: the first cluster (by phase
+    order) attaining the maximum wins, and within a cluster the smallest
     maximizing coordinate index is the witness.
     """
     if not report.clusters:
         raise ValueError("report has no clusters; run cluster_eigenvalues first")
-    bases = [projector(report, cid) for cid in range(len(report.clusters))]
-    norms = [op_norm_2_inf(basis) for basis in bases]
-    cid = norms.index(max(norms))
-    value, index, witness = extremal_supnorm(bases[cid])
+    # max keeps the first of equal keys, so the first cluster wins a tie
+    cid, (value, basis, row_norms) = max(
+        enumerate(_cluster_supnorms(report)), key=lambda item: item[1][0]
+    )
+    index = int(np.argmax(row_norms))
+    witness = basis @ basis[index].conj()
     return SupnormResult(
         value=value,
         cluster_id=cid,
         witness_index=index,
-        witness=witness,
+        witness=witness / value,
         cluster_dim=report.clusters[cid].dim,
     )
-
-
-def op_norm_2_inf(X: np.ndarray) -> float:
-    """The l2 -> l-infinity operator norm: the largest row l2 norm (exact)."""
-    X = np.asarray(X)
-    if not X.size:
-        return 0.0
-    return float(np.linalg.norm(X, axis=1).max())
-
-
-def averaging_operator(
-    M: Propagator | np.ndarray, mu: complex, T: int
-) -> np.ndarray:
-    """Time average B = (1/T) * sum_{n<T} mu^-n M^n.
-
-    For an eigenvector u of M with eigenvalue mu, B u = u; the largest
-    row l2 norm of B therefore bounds ||u||_inf for every such unit
-    eigenvector. mu must be unimodular.
-    """
-    if T < 1:
-        raise ValueError("averaging window must be positive, got %d" % T)
-    mu = complex(mu)
-    if abs(abs(mu) - 1) > 1e-12:
-        raise ValueError("eigenvalue must be unimodular, |mu| = %.15f" % abs(mu))
-    matrix, n = _as_matrix(M)
-    accum = np.zeros((n, n), dtype=np.complex128)
-    power = np.eye(n, dtype=np.complex128)
-    weight = 1.0 + 0.0j
-    for step in range(T):
-        accum += weight * power
-        if step + 1 < T:
-            power = matrix @ power
-            weight /= mu
-    return accum / T
 
 
 def report_to_dict(report: SpectrumReport) -> dict:
@@ -315,9 +278,9 @@ def report_to_dict(report: SpectrumReport) -> dict:
                 "phase": cluster.phase,
                 "indices": list(cluster.indices),
                 "dim": cluster.dim,
-                "supnorm": op_norm_2_inf(projector(report, cid)),
+                "supnorm": supnorm,
             }
-            for cid, cluster in enumerate(report.clusters)
+            for cluster, (supnorm, _, _) in zip(report.clusters, _cluster_supnorms(report))
         ],
         "global_phase": report.global_phase,
         "residual_max": float(report.residuals.max()) if report.N else 0.0,

@@ -3,7 +3,8 @@ once per session and consumed by both the module-invariant test and the
 acceptance criterion. Also runners for `python -m catlab.cli` in a fresh
 interpreter, scan stages patched inside scan worker processes, and the
 dense oracles the library's fast paths are checked against: translation
-matrices, the Egorov defect and dense propagator powers."""
+matrices, the Egorov defect, dense propagator powers and the averaging
+operator."""
 
 import dataclasses
 import math
@@ -62,6 +63,36 @@ def op_norm_1_inf(X: np.ndarray) -> float:
     """The l1 -> l-infinity operator norm: the largest entry modulus."""
     X = np.asarray(X)
     return float(np.abs(X).max()) if X.size else 0.0
+
+
+def op_norm_2_inf(X: np.ndarray) -> float:
+    """The l2 -> l-infinity operator norm: the largest row l2 norm (exact)."""
+    X = np.asarray(X)
+    return float(np.linalg.norm(X, axis=1).max()) if X.size else 0.0
+
+
+def averaging_operator(M: Propagator, mu: complex, T: int) -> np.ndarray:
+    """Time average B = (1/T) * sum_{n<T} mu^-n M^n.
+
+    For an eigenvector u of M with eigenvalue mu, B u = u; the largest
+    row l2 norm of B therefore bounds ||u||_inf for every such unit
+    eigenvector. mu must be unimodular.
+    """
+    if T < 1:
+        raise ValueError("averaging window must be positive, got %d" % T)
+    mu = complex(mu)
+    if abs(abs(mu) - 1) > 1e-12:
+        raise ValueError("eigenvalue must be unimodular, |mu| = %.15f" % abs(mu))
+    n = M.N
+    accum = np.zeros((n, n), dtype=np.complex128)
+    power = np.eye(n, dtype=np.complex128)
+    weight = 1.0 + 0.0j
+    for step in range(T):
+        accum += weight * power
+        if step + 1 < T:
+            power = M.entries @ power
+            weight /= mu
+    return accum / T
 
 
 def dense_power_norms(A: CatMatrix, N: int, jmax: int) -> list[DispersiveRecord]:

@@ -221,10 +221,12 @@ class TestPeriodModulus:
 
     def test_congruence_failure_raises(self, monkeypatch):
         monkeypatch.setattr(arith, "matrix_power", lambda A, k: CatMatrix(2, 0, 0, 1))
-        # A^3 - I is patched to [[1, 0], [0, 0]]
-        match = r"^period modulus at N=5: largest residue of A\^3 - I mod N 1 exceeds 0$"
-        with pytest.raises(CertificationError, match=match):
-            period_modulus(A, 3)
+        # A^k - I is patched to [[1, 0], [0, 0]]; large indices are
+        # certified as well as small ones
+        for k, N in ((3, "5"), (513, r"\d+")):
+            match = r"^period modulus at N=%s: largest residue of A\^%d - I mod N 1 exceeds 0$"
+            with pytest.raises(CertificationError, match=match % (N, k)):
+                period_modulus(A, k)
 
 
 class TestQuantumPeriod:

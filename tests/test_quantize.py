@@ -215,9 +215,6 @@ class TestPropagator:
         with pytest.raises(CertificationError, match="unitarity"):
             build_propagator(A, 5)
 
-    def test_h_matches_dimension(self):
-        assert build_propagator(A, 5).h == pytest.approx(1 / (10 * math.pi))
-
     def test_defect_sensitive_to_perturbation(self):
         prop = build_propagator(A, 5)
         entries = prop.entries.copy()

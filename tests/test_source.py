@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import catlab
-from catlab import cli
+from catlab import cli, experiments, quantize, spectral
 
 SOURCES = sorted(Path(catlab.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -63,3 +63,15 @@ def test_certification_errors_raised_only_by_certify():
         and id(node) not in allowed
     ]
     assert found == [] and kinds == {"CertificationError"}
+
+
+def test_every_export_resolves():
+    # a deleted function must leave no stale name in an __all__
+    modules = (catlab, quantize, spectral, experiments)
+    missing = [
+        "%s.%s" % (module.__name__, name)
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert all(module.__all__ for module in modules) and missing == []

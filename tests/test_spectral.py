@@ -8,19 +8,18 @@ import pytest
 
 from catlab import spectral
 from catlab.arith import CatMatrix, CertificationError, quantum_period, validate_catmap
+from catlab.experiments import clustered_spectrum
 from catlab.quantize import build_propagator
 from catlab.spectral import (
+    EigenCluster,
     SpectrumReport,
-    averaging_operator,
     cluster_eigenvalues,
     eigendecompose,
-    extremal_supnorm,
-    op_norm_2_inf,
     projector,
     report_to_dict,
     supnorm_summary,
 )
-from conftest import op_norm_1_inf
+from conftest import averaging_operator, op_norm_1_inf, op_norm_2_inf
 
 A = CatMatrix(2, 3, 1, 2)
 LAM = validate_catmap(2, 3, 1, 2).lam
@@ -44,6 +43,10 @@ def clustered71():
 
 def summarize(M, n=None, lam=None):
     return supnorm_summary(cluster_eigenvalues(eigendecompose(M), n=n, lam=lam))
+
+
+def cluster_supnorms(report):
+    return [cluster["supnorm"] for cluster in report_to_dict(report)["clusters"]]
 
 
 def synthetic_report(values):
@@ -192,28 +195,32 @@ class TestProjectors:
 
     def test_full_space_projector(self):
         report = cluster_eigenvalues(eigendecompose(np.eye(4)), n=1)
-        value, index, witness = extremal_supnorm(projector(report, 0))
-        assert value == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.abs(witness).max() - 1.0) < 1e-12
-        assert index == 0
+        result = supnorm_summary(report)
+        assert result.value == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.abs(result.witness).max() - 1.0) < 1e-12
+        assert result.witness_index == 0
 
     def test_uniform_rank_one_projector(self):
-        # projection onto the constant vector: all row norms equal 1/sqrt(N)
-        n = 8
-        u = np.full((n, 1), 1 / math.sqrt(n), dtype=np.complex128)
-        value, index, witness = extremal_supnorm(u)
-        assert value == pytest.approx(1 / math.sqrt(n), abs=1e-12)
-        assert index == 0
-        assert np.allclose(np.abs(witness), 1 / math.sqrt(n))
+        # eigenvectors are the columns of the unitary DFT, written in
+        # exact entries: every rank-one projector has all row norms
+        # 1/sqrt(n), so every tie is exact
+        n = 4
+        k = np.arange(n)
+        dft = np.array([1, 1j, -1, -1j])[np.outer(k, k) % n] / math.sqrt(n)
+        report = replace(synthetic_report(np.exp(2j * np.pi * k / n)), eigenvectors=dft)
+        result = supnorm_summary(cluster_eigenvalues(report))
+        assert result.value == pytest.approx(1 / math.sqrt(n), abs=1e-12)
+        assert result.witness_index == 0
+        assert np.allclose(np.abs(result.witness), 1 / math.sqrt(n))
 
-    def test_empty_basis_rejected(self):
+    def test_empty_basis_rejected(self, clustered5):
+        report = replace(clustered5, clusters=(EigenCluster(phase=0.0, indices=()),))
         with pytest.raises(ValueError, match="empty"):
-            extremal_supnorm(np.zeros((4, 0), dtype=np.complex128))
+            projector(report, 0)
 
     def test_trace_pigeonhole(self, clustered5, clustered71):
         for report in (clustered5, clustered71):
-            for cid, cluster in enumerate(report.clusters):
-                value, _, _ = extremal_supnorm(projector(report, cid))
+            for cluster, value in zip(report.clusters, cluster_supnorms(report)):
                 assert value**2 >= cluster.dim / report.N - 1e-12
 
     def test_witness_is_unit_and_attains(self, clustered5):
@@ -229,8 +236,7 @@ class TestProjectors:
         assert record.n_N == 8
         report = cluster_eigenvalues(eigendecompose(prop), n=record.n_N, lam=LAM)
         assert all(c.dim == 1 for c in report.clusters)
-        for cid, cluster in enumerate(report.clusters):
-            value, _, _ = extremal_supnorm(projector(report, cid))
+        for cluster, value in zip(report.clusters, cluster_supnorms(report)):
             vector = report.eigenvectors[:, cluster.indices[0]]
             assert value == pytest.approx(float(np.abs(vector).max()), abs=1e-12)
 
@@ -266,11 +272,32 @@ class TestSupnormSummary:
         # norm is exactly 1; the first cluster in phase order must win
         values = np.exp(2j * np.pi * turn) * np.array([1, 1, 1j, -1, -1, -1])
         report = cluster_eigenvalues(synthetic_report(values))
-        assert [op_norm_2_inf(projector(report, cid)) for cid in range(3)] == [1.0] * 3
+        assert cluster_supnorms(report) == [1.0] * 3
         result = supnorm_summary(report)
         assert result.cluster_id == 0
         assert result.cluster_dim == first_dim
         assert result.witness_index == report.clusters[0].indices[0]
+
+    @pytest.mark.parametrize(
+        "entries, N, snapped",
+        [
+            ((2, 3, 1, 2), 7, False),
+            ((2, 3, 1, 2), 71, True),
+            ((2, 3, 1, 2), 195, False),
+            ((2, 3, 1, 2), 265, True),
+            # negative trace: lambda is unknown, so always gap clustering
+            ((-2, 3, 1, -2), 71, False),
+        ],
+    )
+    def test_witness_is_eigenvector(self, entries, N, snapped):
+        # profile prints the witness: it must lie in the winning
+        # eigenspace, whichever clustering path built that eigenspace
+        _, report = clustered_spectrum(CatMatrix(*entries), N)
+        assert (report.global_phase is not None) == snapped
+        result = supnorm_summary(report)
+        mu = np.exp(1j * report.clusters[result.cluster_id].phase)
+        w = result.witness
+        assert np.linalg.norm(report.matrix @ w - mu * w) <= 1e-10
 
     def test_unclustered_report_rejected(self, prop5):
         with pytest.raises(ValueError):
