@@ -63,8 +63,9 @@ class SpectrumReport:
     eigenvectors holds one orthonormal eigenvector per column (Schur
     vectors, so orthonormality is exact to machine precision even inside
     degenerate clusters). clusters is empty until cluster_eigenvalues
-    runs; global_phase is the phase of the scalar matrix M^n when the
-    short quantum period n certifies one.
+    runs; global_phase is phi = angle(lambda_0^n), the phase of the
+    scalar matrix M^n = e^(i phi) I, when the short quantum period n
+    certifies one (in (-pi, pi], unlike the cluster phases in [0, 2*pi)).
     """
 
     N: int
@@ -106,12 +107,16 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     matrix, n = _as_matrix(M)
     T, Z = scipy.linalg.schur(matrix, output="complex")
     values = np.diag(T).copy()
+    del T
     phases = np.mod(np.angle(values), TWO_PI)
     order = np.argsort(phases, kind="stable")
     values = values[order]
     vectors = Z[:, order]
+    del Z
 
-    residuals = np.linalg.norm(matrix @ vectors - vectors * values[None, :], axis=0)
+    residual = matrix @ vectors
+    residual -= vectors * values[None, :]
+    residuals = np.linalg.norm(residual, axis=0)
     worst = float(residuals.max(initial=0.0))
     certify("eigensolve", n, "eigenpair residual", worst, RESIDUAL_TOL * math.sqrt(n))
     stray = float(np.abs(np.abs(values) - 1).max(initial=0.0))
@@ -126,11 +131,23 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
 
 
 def _snap_clusters(report: SpectrumReport, n: int) -> SpectrumReport:
-    power = np.linalg.matrix_power(report.matrix, n)
-    scalar = power[0, 0]
-    off = float(np.abs(power - scalar * np.eye(report.N)).max())
-    certify("clustering", report.N, "off-scalar residual of M^%d" % n, off, SCALAR_TOL)
-    certify("clustering", report.N, "||M^%d[0,0]| - 1|" % n, abs(abs(scalar) - 1), SCALAR_TOL)
+    """Certify M^n = c I from the certified eigenpairs, then snap each
+    eigenvalue to the nearest n-th root of c.
+
+    With V the Schur basis, Lambda the eigenvalues and R = M V - V Lambda,
+    whose column norms are report.residuals,
+    M^n V - V Lambda^n = sum_{k<n} M^(n-1-k) R Lambda^k. Assuming V
+    orthonormal (Schur) and M unitary (certified by its build), and with
+    |lambda_i| = 1 to MODULUS_TOL (certified by eigendecompose), every c
+    obeys ||M^n - c I||_2 <= max_i |lambda_i^n - c| + n ||R||_F. The right
+    side at c = lambda_0^n is certified within SCALAR_TOL; it also bounds
+    the largest entry of M^n - c I, and it costs O(N), with no M^n formed.
+    """
+    powers = report.eigenvalues**n
+    scalar = complex(powers[0])
+    off = float(np.abs(powers - scalar).max()) + n * float(np.linalg.norm(report.residuals))
+    certify("clustering", report.N, "off-scalar bound of M^%d" % n, off, SCALAR_TOL)
+    certify("clustering", report.N, "||lam_0^%d| - 1|" % n, abs(abs(scalar) - 1), SCALAR_TOL)
     phi = float(np.angle(scalar))
     roots = np.mod((phi + TWO_PI * np.arange(n)) / n, TWO_PI)
     phases = np.mod(np.angle(report.eigenvalues), TWO_PI)
@@ -144,6 +161,11 @@ def _snap_clusters(report: SpectrumReport, n: int) -> SpectrumReport:
     snap = float(dist.min(axis=1).max())
     bound = CLUSTER_TOL if n == 1 else min(CLUSTER_TOL, TWO_PI / n - 2 * CLUSTER_TOL)
     certify("clustering", report.N, "largest snap distance", snap, bound)
+    # Phase-0 rule: a root within CLUSTER_TOL of phase 0 is reported as
+    # exactly 0.0 and sorts first, whatever the sign of the rounding in
+    # phi. The snap check keeps roots 2*CLUSTER_TOL or more apart, so at
+    # most one moves.
+    roots[np.minimum(roots, TWO_PI - roots) < CLUSTER_TOL] = 0.0
     members: dict[int, list[int]] = {}
     for i, m in enumerate(nearest.tolist()):
         members.setdefault(m, []).append(i)
@@ -187,11 +209,13 @@ def cluster_eigenvalues(
     """Group the eigenvalues of a report into eigenspace clusters.
 
     In the short-period regime (n <= 2*log_lambda(N) + 1, decidable when
-    both n and lam are supplied) M^n is verified to be scalar and each
-    eigenvalue is snapped to the nearest n-th root of its phase, so the
-    clustering is exact. Otherwise eigenvalues are grouped by phase gaps
-    at CLUSTER_TOL, merging near-degenerate neighbours; degeneracy away
-    from the short-period regime is declared, never assumed.
+    both n and lam are supplied) M^n is certified scalar from the
+    certified eigenpairs, in O(N) and with no matrix power (see
+    _snap_clusters), and each eigenvalue is snapped to the nearest n-th
+    root of its phase, so the clustering is exact. Otherwise eigenvalues
+    are grouped by phase gaps at CLUSTER_TOL, merging near-degenerate
+    neighbours; degeneracy away from the short-period regime is
+    declared, never assumed.
     """
     if report.N == 0:
         return replace(report, clusters=())

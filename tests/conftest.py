@@ -3,8 +3,8 @@ once per session and consumed by both the module-invariant test and the
 acceptance criterion. Also runners for `python -m catlab.cli` in a fresh
 interpreter, scan stages patched inside scan worker processes, and the
 dense oracles the library's fast paths are checked against: translation
-matrices, the Egorov defect, dense propagator powers and the averaging
-operator."""
+matrices, the Egorov defect, dense propagator powers, the dense scalar
+power M^n and the averaging operator."""
 
 import dataclasses
 import math
@@ -93,6 +93,14 @@ def averaging_operator(M: Propagator, mu: complex, T: int) -> np.ndarray:
             power = M.entries @ power
             weight /= mu
     return accum / T
+
+
+def dense_scalar_residual(M: np.ndarray, n: int) -> tuple[float, float]:
+    """(max |M^n - M^n[0,0] I|, angle(M^n[0,0])) from the dense power: the
+    oracle for the scalar-power bound of spectral's snap clustering."""
+    power = np.linalg.matrix_power(M, n)
+    scalar = power[0, 0]
+    return float(np.abs(power - scalar * np.eye(len(M))).max()), float(np.angle(scalar))
 
 
 def dense_power_norms(A: CatMatrix, N: int, jmax: int) -> list[DispersiveRecord]:

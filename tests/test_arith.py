@@ -398,7 +398,7 @@ CHECKS = [
     ),
     (
         # N=5 has quantum period 3, so M^2 is not scalar
-        "clustering", "off-scalar residual of M^2",
+        "clustering", "off-scalar bound of M^2",
         lambda patch: None,
         lambda: _raised(
             lambda: spectral.cluster_eigenvalues(
@@ -407,7 +407,7 @@ CHECKS = [
         ),
     ),
     (
-        "clustering", "||M^1[0,0]| - 1|",
+        "clustering", "||lam_0^1| - 1|",
         lambda patch: None,
         lambda: _raised(lambda: spectral.cluster_eigenvalues(_scalar_report(0.5, 3), n=1)),
     ),

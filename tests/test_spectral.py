@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from catlab import spectral
+from catlab import arith, spectral
 from catlab.arith import CatMatrix, CertificationError, quantum_period, validate_catmap
 from catlab.experiments import clustered_spectrum
 from catlab.quantize import build_propagator
@@ -19,10 +19,16 @@ from catlab.spectral import (
     report_to_dict,
     supnorm_summary,
 )
-from conftest import averaging_operator, op_norm_1_inf, op_norm_2_inf
+from conftest import averaging_operator, dense_scalar_residual, op_norm_1_inf, op_norm_2_inf
 
 A = CatMatrix(2, 3, 1, 2)
 LAM = validate_catmap(2, 3, 1, 2).lam
+TRACE4_B3 = ((2, 3, 1, 2), (2, -3, -1, 2), (8, 3, -11, -4), (-4, 3, -11, 8))
+# the four trace-4 maps at N=15 (n=6, outside the short-period regime),
+# 71 and 265, and two trace-8 maps at their short-period moduli 71, 559
+SCALAR_CASES = [(m, N) for m in TRACE4_B3 for N in (15, 71, 265)] + [
+    (m, N) for m in ((4, 3, 5, 4), (-2, 3, -7, 10)) for N in (71, 559)
+]
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +117,8 @@ class TestClustering:
         assert len(clustered5.clusters) <= 3
         assert sum(c.dim for c in clustered5.clusters) == 5
         assert clustered5.global_phase is not None
-        power = np.linalg.matrix_power(clustered5.matrix, 3)
-        assert np.angle(power[0, 0]) == pytest.approx(clustered5.global_phase)
+        _, angle = dense_scalar_residual(clustered5.matrix, 3)
+        assert angle == pytest.approx(clustered5.global_phase)
 
     def test_snap_multiplicity_bound(self, clustered71):
         # period 7 forces a cluster of dimension >= ceil(71/7) = 11
@@ -155,30 +161,74 @@ class TestClustering:
         with pytest.raises(CertificationError, match=match):
             cluster_eigenvalues(report, n=3, lam=1.01)
 
-    def test_snap_rejects_eigenvalue_off_its_root(self, prop5):
+    @pytest.fixture
+    def off_root5(self, prop5):
+        """The N=5 eigensystem with eigenvalue 2 turned 1e-6 off its root."""
         report = eigendecompose(prop5)
         values = report.eigenvalues.copy()
         values[2] *= np.exp(10j * spectral.CLUSTER_TOL)
-        perturbed = replace(report, eigenvalues=values)
-        # the perturbed eigenvalue lies 1e-6 from its root, to rounding
+        return replace(report, eigenvalues=values)
+
+    def test_snap_rejects_eigenvalue_off_its_root(self, off_root5):
+        # its cube lies 3e-6 from the others, so the scalar bound fires first
+        match = (
+            r"^clustering at N=5: off-scalar bound of M\^3"
+            r" (2\.9999\d*e-06|3\.0000\d*e-06) exceeds 1e-07$"
+        )
+        with pytest.raises(CertificationError, match=match):
+            cluster_eigenvalues(off_root5, n=3, lam=LAM)
+
+    def test_snap_distance_rejects_eigenvalue_off_its_root(self, off_root5, monkeypatch):
+        # with the scalar bound out of the way, the snap distance check
+        # alone rejects the eigenvalue 1e-6 from its root, to rounding
+        monkeypatch.setattr(spectral, "SCALAR_TOL", 1.0)
         match = (
             r"^clustering at N=5: largest snap distance"
             r" (9\.9999\d*e-07|1\.0000\d*e-06) exceeds 1e-07$"
         )
         with pytest.raises(CertificationError, match=match):
-            cluster_eigenvalues(perturbed, n=3, lam=LAM)
+            cluster_eigenvalues(off_root5, n=3, lam=LAM)
 
     def test_snap_rejects_wrong_period(self, prop5):
+        # N=5 has quantum period 3: the dense M^2 is not scalar either
+        assert dense_scalar_residual(prop5.entries, 2)[0] > spectral.SCALAR_TOL
         report = eigendecompose(prop5)
-        match = r"^clustering at N=5: off-scalar residual of M\^2 \S+ exceeds 1e-07$"
+        match = r"^clustering at N=5: off-scalar bound of M\^2 \S+ exceeds 1e-07$"
         with pytest.raises(CertificationError, match=match):
             cluster_eigenvalues(report, n=2, lam=LAM)
 
     def test_snap_rejects_scalar_power_off_the_unit_circle(self):
         report = synthetic_report(0.5 * np.ones(3))
-        match = r"^clustering at N=3: \|\|M\^1\[0,0\]\| - 1\| 0\.5 exceeds 1e-07$"
+        match = r"^clustering at N=3: \|\|lam_0\^1\| - 1\| 0\.5 exceeds 1e-07$"
         with pytest.raises(CertificationError, match=match):
             cluster_eigenvalues(report, n=1)
+
+    @pytest.mark.parametrize("entries, N", SCALAR_CASES)
+    def test_scalar_bound_dominates_dense_residual(self, monkeypatch, entries, N):
+        certified = {}
+
+        def recording(stage, dim, check, value, bound):
+            certified[check] = value
+            arith.certify(stage, dim, check, value, bound)
+
+        monkeypatch.setattr(spectral, "certify", recording)
+        matrix = CatMatrix(*entries)
+        n = quantum_period(matrix, N).n_N
+        clustered = spectral._snap_clusters(eigendecompose(build_propagator(matrix, N)), n)
+        residual, angle = dense_scalar_residual(clustered.matrix, n)
+        assert residual <= certified["off-scalar bound of M^%d" % n] <= spectral.SCALAR_TOL
+        gap = (clustered.global_phase - angle) % (2 * np.pi)
+        assert min(gap, 2 * np.pi - gap) <= 1e-12
+
+    @pytest.mark.parametrize("phi", [1e-16, -1e-16])
+    def test_root_at_phase_zero_is_reported_as_zero(self, phi):
+        # the certified phase keeps the sign of phi; without the phase-0
+        # rule a negative one puts the k=0 root at 2*pi, last in order
+        values = np.exp(1j * (phi + 2 * np.pi * np.array([0, 0, 1, 2, 2])) / 3)
+        clustered = cluster_eigenvalues(synthetic_report(values), n=3, lam=LAM)
+        assert np.sign(clustered.global_phase) == np.sign(phi)
+        assert clustered.clusters[0].phase == 0.0
+        assert [c.dim for c in clustered.clusters] == [2, 1, 2]
 
 
 class TestProjectors:
