@@ -139,13 +139,12 @@ def clustered_spectrum(
     allow_even: bool = False,
 ) -> tuple[PeriodRecord, SpectrumReport]:
     """The per-N pipeline: quantum period, certified propagator, certified
-    eigensystem, clusters (snapped to the n_N-th roots when the period is
-    short for lambda, else grouped by phase gaps; see cluster_eigenvalues).
+    eigensystem, clusters snapped to the n_N-th roots of the certified
+    scalar M^n_N (see cluster_eigenvalues).
     """
-    lam = require_quantizable(A).lam
     record = quantum_period(A, N)
     prop = build_propagator(A, N, allow_even=allow_even)
-    report = cluster_eigenvalues(eigendecompose(prop), n=record.n_N, lam=lam)
+    report = cluster_eigenvalues(eigendecompose(prop), record.n_N)
     return record, report
 
 
@@ -227,9 +226,9 @@ def scan_supnorms(
     that many worker processes with one BLAS thread each (process_map)
     and keeps N order. The records are independent of jobs when BLAS
     runs one thread in this process too. With a multi-threaded BLAS,
-    jobs 1 can differ in the last bits, and so at exact ties in
-    cluster_dim and witness_index (seen at N = 65, 165 and 195 over
-    3..301 for the map (2,3,1,2)).
+    jobs 1 can differ in the last bits, and so at exact ties: over
+    3..301 for the map (2,3,1,2) on two BLAS threads, cluster_dim at
+    N = 65, 165, 195 and 219 and witness_index at 40 N.
     """
     report = require_quantizable(A)
     if A.b == 0:

@@ -1,8 +1,9 @@
 """Spectral analysis of propagator matrices.
 
 Eigendecomposition with residual certification, clustering of unit-circle
-eigenvalues into eigenspaces, and extraction of the extremal sup norm of
-each eigenspace through its orthogonal projector.
+eigenvalues into eigenspaces at the roots of the scalar M^n (n the
+quantum period, which every N has), and extraction of the extremal sup
+norm of each eigenspace through its orthogonal projector.
 
 The projector identity doing the real work: for the orthogonal projector
 P onto a subspace V, the largest l-infinity norm over l2-normalized
@@ -35,9 +36,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 # Certification bounds: eigenpair residual (times sqrt(N)), eigenvalue
-# distance from the unit circle, scalar M^n. CLUSTER_TOL is both the
-# largest phase distance of an eigenvalue from its snapped root and the
-# largest phase gap inside a gap-grouped cluster.
+# distance from the unit circle, scalar M^n. CLUSTER_TOL is the largest
+# phase distance of an eigenvalue from its snapped root.
 RESIDUAL_TOL = 1e-8
 MODULUS_TOL = 1e-8
 SCALAR_TOL = 1e-7
@@ -63,9 +63,9 @@ class SpectrumReport:
     eigenvectors holds one orthonormal eigenvector per column (Schur
     vectors, so orthonormality is exact to machine precision even inside
     degenerate clusters). clusters is empty until cluster_eigenvalues
-    runs; global_phase is phi = angle(lambda_0^n), the phase of the
-    scalar matrix M^n = e^(i phi) I, when the short quantum period n
-    certifies one (in (-pi, pi], unlike the cluster phases in [0, 2*pi)).
+    runs; global_phase is then phi = angle(lambda_0^n), the phase of the
+    certified scalar matrix M^n = e^(i phi) I at the quantum period n (in
+    (-pi, pi], unlike the cluster phases in [0, 2*pi)).
     """
 
     N: int
@@ -130,19 +130,28 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     )
 
 
-def _snap_clusters(report: SpectrumReport, n: int) -> SpectrumReport:
-    """Certify M^n = c I from the certified eigenpairs, then snap each
-    eigenvalue to the nearest n-th root of c.
+def cluster_eigenvalues(report: SpectrumReport, n: int) -> SpectrumReport:
+    """Group the eigenvalues of a report into eigenspace clusters at the
+    n-th roots of the scalar M^n, n the quantum period.
 
-    With V the Schur basis, Lambda the eigenvalues and R = M V - V Lambda,
-    whose column norms are report.residuals,
+    First certifies M^n = c I from the certified eigenpairs. With V the
+    Schur basis, Lambda the eigenvalues and R = M V - V Lambda, whose
+    column norms are report.residuals,
     M^n V - V Lambda^n = sum_{k<n} M^(n-1-k) R Lambda^k. Assuming V
     orthonormal (Schur) and M unitary (certified by its build), and with
     |lambda_i| = 1 to MODULUS_TOL (certified by eigendecompose), every c
     obeys ||M^n - c I||_2 <= max_i |lambda_i^n - c| + n ||R||_F. The right
     side at c = lambda_0^n is certified within SCALAR_TOL; it also bounds
     the largest entry of M^n - c I, and it costs O(N), with no M^n formed.
+
+    Then snaps each eigenvalue to the nearest n-th root of c, found by
+    rounding, also in O(N); every cluster is an exact eigenspace, so
+    degeneracy is certified, never assumed.
     """
+    if report.N == 0:
+        return replace(report, clusters=())
+    if n < 1:
+        raise ValueError("quantum period must be positive")
     powers = report.eigenvalues**n
     scalar = complex(powers[0])
     off = float(np.abs(powers - scalar).max()) + n * float(np.linalg.norm(report.residuals))
@@ -152,13 +161,12 @@ def _snap_clusters(report: SpectrumReport, n: int) -> SpectrumReport:
     roots = np.mod((phi + TWO_PI * np.arange(n)) / n, TWO_PI)
     phases = np.mod(np.angle(report.eigenvalues), TWO_PI)
 
-    # Circular distances of each phase (rows) to each root (columns). An
-    # eigenvalue at distance d from its nearest root lies 2*pi/n - d from
-    # the second nearest, which must stay beyond 2*CLUSTER_TOL.
-    dist = np.mod(roots[None, :] - phases[:, None], TWO_PI)
-    dist = np.minimum(dist, TWO_PI - dist)
-    nearest = np.argmin(dist, axis=1)
-    snap = float(dist.min(axis=1).max())
+    # The root nearest phase theta is k = rint((n*theta - phi) / 2*pi)
+    # mod n. An eigenvalue at circular distance d from it lies 2*pi/n - d
+    # from the second nearest, which must stay beyond 2*CLUSTER_TOL.
+    nearest = np.mod(np.rint((n * phases - phi) / TWO_PI), n).astype(np.intp)
+    dist = np.mod(roots[nearest] - phases, TWO_PI)
+    snap = float(np.minimum(dist, TWO_PI - dist).max())
     bound = CLUSTER_TOL if n == 1 else min(CLUSTER_TOL, TWO_PI / n - 2 * CLUSTER_TOL)
     certify("clustering", report.N, "largest snap distance", snap, bound)
     # Phase-0 rule: a root within CLUSTER_TOL of phase 0 is reported as
@@ -175,63 +183,6 @@ def _snap_clusters(report: SpectrumReport, n: int) -> SpectrumReport:
         EigenCluster(phase=float(roots[m]), indices=tuple(members[m])) for m in order
     )
     return replace(report, clusters=clusters, global_phase=phi)
-
-
-def _gap_clusters(report: SpectrumReport) -> SpectrumReport:
-    n = report.N
-    phases = np.mod(np.angle(report.eigenvalues), TWO_PI)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, n):
-        if phases[i] - phases[i - 1] <= CLUSTER_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    # circular wrap: the first and last groups may be one cluster
-    if len(groups) > 1 and (phases[groups[0][0]] + TWO_PI - phases[-1]) <= CLUSTER_TOL:
-        groups[0] = groups.pop() + groups[0]
-    clusters = []
-    for members in groups:
-        rep = complex(np.sum(report.eigenvalues[members]))
-        clusters.append(
-            EigenCluster(
-                phase=float(np.mod(np.angle(rep), TWO_PI)), indices=tuple(members)
-            )
-        )
-    clusters.sort(key=lambda cl: cl.phase)
-    return replace(report, clusters=tuple(clusters), global_phase=None)
-
-
-def cluster_eigenvalues(
-    report: SpectrumReport,
-    n: int | None = None,
-    lam: float | None = None,
-) -> SpectrumReport:
-    """Group the eigenvalues of a report into eigenspace clusters.
-
-    In the short-period regime (n <= 2*log_lambda(N) + 1, decidable when
-    both n and lam are supplied) M^n is certified scalar from the
-    certified eigenpairs, in O(N) and with no matrix power (see
-    _snap_clusters), and each eigenvalue is snapped to the nearest n-th
-    root of its phase, so the clustering is exact. Otherwise eigenvalues
-    are grouped by phase gaps at CLUSTER_TOL, merging near-degenerate
-    neighbours; degeneracy away from the short-period regime is
-    declared, never assumed.
-    """
-    if report.N == 0:
-        return replace(report, clusters=())
-    if n is not None and n < 1:
-        raise ValueError("quantum period must be positive")
-    if (
-        n is not None
-        and lam is not None
-        and report.N > 1
-        and n <= 2 * math.log(report.N, lam) + 1 + 1e-12
-    ):
-        return _snap_clusters(report, n)
-    if n == 1:
-        # scalar matrix regardless of lam knowledge
-        return _snap_clusters(report, 1)
-    return _gap_clusters(report)
 
 
 def projector(report: SpectrumReport, cluster_id: int) -> np.ndarray:

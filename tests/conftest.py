@@ -4,7 +4,8 @@ acceptance criterion. Also runners for `python -m catlab.cli` in a fresh
 interpreter, scan stages patched inside scan worker processes, and the
 dense oracles the library's fast paths are checked against: translation
 matrices, the Egorov defect, dense propagator powers, the dense scalar
-power M^n and the averaging operator."""
+power M^n, phase-gap clustering, the table of distances to the roots of
+M^n, and the averaging operator."""
 
 import dataclasses
 import math
@@ -23,7 +24,7 @@ from catlab import arith, experiments, quantize
 from catlab.arith import CatMatrix, certify, matrix_power, validate_catmap
 from catlab.experiments import DispersiveRecord, clustered_spectrum, process_map
 from catlab.quantize import Propagator, build_propagator
-from catlab.spectral import supnorm_summary
+from catlab.spectral import CLUSTER_TOL, TWO_PI, EigenCluster, SpectrumReport, supnorm_summary
 
 
 def translation_matrix(p: int, q: int, N: int) -> np.ndarray:
@@ -101,6 +102,44 @@ def dense_scalar_residual(M: np.ndarray, n: int) -> tuple[float, float]:
     power = np.linalg.matrix_power(M, n)
     scalar = power[0, 0]
     return float(np.abs(power - scalar * np.eye(len(M))).max()), float(np.angle(scalar))
+
+
+def gap_clusters(report: SpectrumReport) -> SpectrumReport:
+    """Clusters from phase gaps: neighbours in phase order within
+    CLUSTER_TOL share a cluster, whose phase is that of the sum of its
+    eigenvalues. The oracle for the memberships and phases of
+    spectral.cluster_eigenvalues, which needs no tolerance to group."""
+    n = report.N
+    phases = np.mod(np.angle(report.eigenvalues), TWO_PI)
+    groups: list[list[int]] = [[0]]
+    for i in range(1, n):
+        if phases[i] - phases[i - 1] <= CLUSTER_TOL:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    # circular wrap: the first and last groups may be one cluster
+    if len(groups) > 1 and (phases[groups[0][0]] + TWO_PI - phases[-1]) <= CLUSTER_TOL:
+        groups[0] = groups.pop() + groups[0]
+    clusters = []
+    for members in groups:
+        rep = complex(np.sum(report.eigenvalues[members]))
+        clusters.append(
+            EigenCluster(
+                phase=float(np.mod(np.angle(rep), TWO_PI)), indices=tuple(members)
+            )
+        )
+    clusters.sort(key=lambda cl: cl.phase)
+    return dataclasses.replace(report, clusters=tuple(clusters), global_phase=None)
+
+
+def table_snap(phases: np.ndarray, phi: float, n: int) -> tuple[np.ndarray, float]:
+    """(nearest root index per phase, largest distance to it) from the full
+    N x n table of circular distances to the roots (phi + 2*pi*k)/n: the
+    oracle for the rounding in spectral.cluster_eigenvalues."""
+    roots = np.mod((phi + TWO_PI * np.arange(n)) / n, TWO_PI)
+    dist = np.mod(roots[None, :] - phases[:, None], TWO_PI)
+    dist = np.minimum(dist, TWO_PI - dist)
+    return np.argmin(dist, axis=1), float(dist.min(axis=1).max())
 
 
 def dense_power_norms(A: CatMatrix, N: int, jmax: int) -> list[DispersiveRecord]:

@@ -131,9 +131,7 @@ def test_criterion_5_lower_bound_chain(short_period_props):
     with criterion(5, "sup-norm lower bound on the short-period moduli", 600.0):
         eps = 0.1
         for N, t_k in SHORT_PAIRS:
-            report = cluster_eigenvalues(
-                eigendecompose(short_period_props[N]), n=t_k, lam=LAM
-            )
+            report = cluster_eigenvalues(eigendecompose(short_period_props[N]), n=t_k)
             # short period forces few clusters, hence a fat eigenspace
             assert len(report.clusters) <= t_k
             assert max(c.dim for c in report.clusters) >= math.ceil(N / t_k)
@@ -189,9 +187,7 @@ def test_criterion_8_small_dimension_oracles():
         for N in (1, 3, 5, 7):
             record = quantum_period(A, N)
             prop = build_propagator(A, N)
-            report = cluster_eigenvalues(
-                eigendecompose(prop), n=record.n_N, lam=LAM
-            )
+            report = cluster_eigenvalues(eigendecompose(prop), n=record.n_N)
             values = [c["supnorm"] for c in report_to_dict(report)["clusters"]]
             for cid, (cluster, value) in enumerate(zip(report.clusters, values)):
                 basis = projector(report, cid)

@@ -402,7 +402,7 @@ CHECKS = [
         lambda patch: None,
         lambda: _raised(
             lambda: spectral.cluster_eigenvalues(
-                spectral.eigendecompose(quantize.build_propagator(A, 5)), n=2, lam=LAMBDA
+                spectral.eigendecompose(quantize.build_propagator(A, 5)), n=2
             )
         ),
     ),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from catlab import experiments, quantize, spectral
+from catlab.arith import CatMatrix
 from catlab.cli import main
 from catlab.experiments import _fmt
 from catlab.quantize import read_matrix_binary
@@ -197,6 +198,22 @@ class TestSpectrum:
         assert done.stdout == ""
         assert done.stderr == "catlab: matrix (2,1,1,1) is not quantizable: c*d odd\n"
 
+    def test_phase_zero_cluster_at_long_period(self, capsys):
+        # n_N = 18 at N=51: eigenvalues 0, 1 and 50 sit at phase 0 to
+        # rounding, one of them just below 2*pi; their cluster is 0 at 0.0
+        argv = ("spectrum", "-a", "2", "-b", "-3", "-c", "-1", "-d", "2", "--n", "51")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert all(0.0 <= float(row[3]) < 2 * np.pi for row in rows)
+        assert [row[3:5] for row in rows if row[0] in ("0", "1", "50")] == [["0.0", "0"]] * 3
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        clusters = json.loads(out)["clusters"]
+        assert all(0.0 <= c["phase"] < 2 * np.pi for c in clusters)
+        assert clusters[0]["phase"] == 0.0
+        assert clusters[0]["indices"] == [0, 1, 50]
+
 
 class TestScanCommand:
     def test_csv_and_svg_deterministic(self, capsys, tmp_path):
@@ -292,6 +309,21 @@ class TestProfileCommand:
         code, _, _ = run(capsys, "profile", "--n", "19", "--svg", str(path))
         assert code == 0
         assert path.read_text().startswith("<svg ")
+
+    @pytest.mark.parametrize("N", [71, 73])
+    def test_negative_trace(self, capsys, N):
+        # trace -4 at n_N = 14 and 36: the scalar power is certified, and
+        # profile prints the moduli of the witness, which
+        # test_spectral.py::test_witness_is_eigenvector checks is an eigenvector
+        matrix = ("-a", "-2", "-b", "3", "-c", "1", "-d", "-2", "--n", str(N))
+        code, out, _ = run(capsys, "spectrum", *matrix, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["global_phase"] is not None
+        code, out, _ = run(capsys, "profile", *matrix, "--format", "json")
+        assert code == 0
+        _, report = experiments.clustered_spectrum(CatMatrix(-2, 3, 1, -2), N)
+        witness = spectral.supnorm_summary(report).witness
+        assert [row["abs_u_i"] for row in json.loads(out)] == np.abs(witness).tolist()
 
     def test_normalization_failure_exit_code(self, capsys, drifted_witness):
         code, out, err = run(capsys, "profile", "--n", "71")

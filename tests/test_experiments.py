@@ -59,21 +59,15 @@ def records_3_31():
 
 
 class TestClusteredSpectrum:
-    @pytest.mark.parametrize("N, snapped", [(71, True), (73, False)])
-    def test_matches_stage_composition(self, N, snapped):
-        # 71 is a short-period modulus (n_N = 7, snap clustering); 73 has
-        # n_N = 36 > 2*log_lambda(73) + 1, so its clusters come from gaps
+    @pytest.mark.parametrize("N", [71, 73])
+    def test_matches_stage_composition(self, N):
+        # 71 is a short-period modulus (n_N = 7); 73 has n_N = 36 >
+        # 2*log_lambda(73) + 1. Both snap to the roots of a scalar M^n_N.
         record, report = clustered_spectrum(A, N)
         assert record == quantum_period(A, N)
-        expected = cluster_eigenvalues(
-            eigendecompose(build_propagator(A, N)), n=record.n_N, lam=LAM
-        )
-        assert (report.global_phase is not None) is snapped
-        if snapped:
-            phase = pytest.approx(expected.global_phase, abs=1e-12)
-            assert report.global_phase == phase
-        else:
-            assert expected.global_phase is None
+        expected = cluster_eigenvalues(eigendecompose(build_propagator(A, N)), record.n_N)
+        assert report.global_phase is not None
+        assert report.global_phase == pytest.approx(expected.global_phase, abs=1e-12)
         assert [c.indices for c in report.clusters] == [
             c.indices for c in expected.clusters
         ]

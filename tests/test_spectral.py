@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from catlab import arith, spectral
-from catlab.arith import CatMatrix, CertificationError, quantum_period, validate_catmap
+from catlab.arith import CatMatrix, CertificationError, quantum_period
 from catlab.experiments import clustered_spectrum
 from catlab.quantize import build_propagator
 from catlab.spectral import (
@@ -19,10 +19,16 @@ from catlab.spectral import (
     report_to_dict,
     supnorm_summary,
 )
-from conftest import averaging_operator, dense_scalar_residual, op_norm_1_inf, op_norm_2_inf
+from conftest import (
+    averaging_operator,
+    dense_scalar_residual,
+    gap_clusters,
+    op_norm_1_inf,
+    op_norm_2_inf,
+    table_snap,
+)
 
 A = CatMatrix(2, 3, 1, 2)
-LAM = validate_catmap(2, 3, 1, 2).lam
 TRACE4_B3 = ((2, 3, 1, 2), (2, -3, -1, 2), (8, 3, -11, -4), (-4, 3, -11, 8))
 # the four trace-4 maps at N=15 (n=6, outside the short-period regime),
 # 71 and 265, and two trace-8 maps at their short-period moduli 71, 559
@@ -38,17 +44,17 @@ def prop5():
 
 @pytest.fixture(scope="module")
 def clustered5(prop5):
-    return cluster_eigenvalues(eigendecompose(prop5), n=3, lam=LAM)
+    return cluster_eigenvalues(eigendecompose(prop5), n=3)
 
 
 @pytest.fixture(scope="module")
 def clustered71():
     prop = build_propagator(A, 71)
-    return cluster_eigenvalues(eigendecompose(prop), n=7, lam=LAM)
+    return cluster_eigenvalues(eigendecompose(prop), n=7)
 
 
-def summarize(M, n=None, lam=None):
-    return supnorm_summary(cluster_eigenvalues(eigendecompose(M), n=n, lam=lam))
+def summarize(M, n):
+    return supnorm_summary(cluster_eigenvalues(eigendecompose(M), n))
 
 
 def cluster_supnorms(report):
@@ -132,23 +138,25 @@ class TestClustering:
         assert len(clustered.clusters) == 1
         assert clustered.global_phase == pytest.approx(theta)
 
+    # test_gap_*: the phase-gap oracle that cluster_eigenvalues is
+    # checked against in TestClusteringOracles
     def test_gap_merges_near_degenerate_pair(self):
         report = synthetic_report([1.0, np.exp(1j * spectral.CLUSTER_TOL / 10)])
-        clustered = cluster_eigenvalues(report)
+        clustered = gap_clusters(report)
         assert len(clustered.clusters) == 1
         assert clustered.clusters[0].dim == 2
         assert clustered.global_phase is None
 
     def test_gap_keeps_simple_spectrum_separate(self):
         values = np.exp(2j * np.pi * np.arange(5) / 5)
-        clustered = cluster_eigenvalues(synthetic_report(values))
+        clustered = gap_clusters(synthetic_report(values))
         assert len(clustered.clusters) == 5
         assert all(c.dim == 1 for c in clustered.clusters)
 
     def test_gap_wraps_around_zero_phase(self):
         delta = 1e-9
         values = [np.exp(1j * delta), np.exp(-1j * delta), 1j]
-        clustered = cluster_eigenvalues(synthetic_report(values))
+        clustered = gap_clusters(synthetic_report(values))
         assert sorted(c.dim for c in clustered.clusters) == [1, 2]
 
     def test_ambiguous_snap_raises(self, monkeypatch):
@@ -159,7 +167,7 @@ class TestClustering:
         # cannot be told apart at this tolerance
         match = r"^clustering at N=3: largest snap distance \S+ exceeds -0\.10560\d+$"
         with pytest.raises(CertificationError, match=match):
-            cluster_eigenvalues(report, n=3, lam=1.01)
+            cluster_eigenvalues(report, n=3)
 
     @pytest.fixture
     def off_root5(self, prop5):
@@ -176,7 +184,7 @@ class TestClustering:
             r" (2\.9999\d*e-06|3\.0000\d*e-06) exceeds 1e-07$"
         )
         with pytest.raises(CertificationError, match=match):
-            cluster_eigenvalues(off_root5, n=3, lam=LAM)
+            cluster_eigenvalues(off_root5, n=3)
 
     def test_snap_distance_rejects_eigenvalue_off_its_root(self, off_root5, monkeypatch):
         # with the scalar bound out of the way, the snap distance check
@@ -187,7 +195,7 @@ class TestClustering:
             r" (9\.9999\d*e-07|1\.0000\d*e-06) exceeds 1e-07$"
         )
         with pytest.raises(CertificationError, match=match):
-            cluster_eigenvalues(off_root5, n=3, lam=LAM)
+            cluster_eigenvalues(off_root5, n=3)
 
     def test_snap_rejects_wrong_period(self, prop5):
         # N=5 has quantum period 3: the dense M^2 is not scalar either
@@ -195,7 +203,7 @@ class TestClustering:
         report = eigendecompose(prop5)
         match = r"^clustering at N=5: off-scalar bound of M\^2 \S+ exceeds 1e-07$"
         with pytest.raises(CertificationError, match=match):
-            cluster_eigenvalues(report, n=2, lam=LAM)
+            cluster_eigenvalues(report, n=2)
 
     def test_snap_rejects_scalar_power_off_the_unit_circle(self):
         report = synthetic_report(0.5 * np.ones(3))
@@ -214,7 +222,7 @@ class TestClustering:
         monkeypatch.setattr(spectral, "certify", recording)
         matrix = CatMatrix(*entries)
         n = quantum_period(matrix, N).n_N
-        clustered = spectral._snap_clusters(eigendecompose(build_propagator(matrix, N)), n)
+        clustered = cluster_eigenvalues(eigendecompose(build_propagator(matrix, N)), n)
         residual, angle = dense_scalar_residual(clustered.matrix, n)
         assert residual <= certified["off-scalar bound of M^%d" % n] <= spectral.SCALAR_TOL
         gap = (clustered.global_phase - angle) % (2 * np.pi)
@@ -225,10 +233,53 @@ class TestClustering:
         # the certified phase keeps the sign of phi; without the phase-0
         # rule a negative one puts the k=0 root at 2*pi, last in order
         values = np.exp(1j * (phi + 2 * np.pi * np.array([0, 0, 1, 2, 2])) / 3)
-        clustered = cluster_eigenvalues(synthetic_report(values), n=3, lam=LAM)
+        clustered = cluster_eigenvalues(synthetic_report(values), n=3)
         assert np.sign(clustered.global_phase) == np.sign(phi)
         assert clustered.clusters[0].phase == 0.0
         assert [c.dim for c in clustered.clusters] == [2, 1, 2]
+
+
+# (map, N values, allow_even) swept against the clustering oracles
+ORACLE_SWEEPS = [(m, range(3, 202, 2), False) for m in TRACE4_B3 + ((4, 3, 5, 4),)] + [
+    ((2, 3, 1, 2), range(1, 81), True),
+    ((-2, 3, 1, -2), (71,), False),
+]
+
+
+class TestClusteringOracles:
+    @pytest.mark.parametrize("entries, values, allow_even", ORACLE_SWEEPS)
+    def test_snap_matches_gap_and_table_oracles(self, monkeypatch, entries, values, allow_even):
+        snaps = []
+
+        def recording(stage, dim, check, value, bound):
+            if check == "largest snap distance":
+                snaps.append(value)
+            arith.certify(stage, dim, check, value, bound)
+
+        monkeypatch.setattr(spectral, "certify", recording)
+        for N in values:
+            record, report = clustered_spectrum(CatMatrix(*entries), N, allow_even)
+            # gap oracle: the same member sets, at phases within CLUSTER_TOL
+            gap_phase = {frozenset(c.indices): c.phase for c in gap_clusters(report).clusters}
+            assert {frozenset(c.indices) for c in report.clusters} == set(gap_phase), N
+            for cluster in report.clusters:
+                turn = (cluster.phase - gap_phase[frozenset(cluster.indices)]) % (2 * np.pi)
+                assert min(turn, 2 * np.pi - turn) <= spectral.CLUSTER_TOL, N
+
+            # table oracle: the same nearest root for every eigenvalue and
+            # the same largest snap distance, to the bit
+            n = record.n_N
+            phases = np.mod(np.angle(report.eigenvalues), 2 * np.pi)
+            nearest, snap = table_snap(phases, report.global_phase, n)
+            assert snaps[-1] == snap, N
+            roots = np.mod((report.global_phase + 2 * np.pi * np.arange(n)) / n, 2 * np.pi)
+            for cluster in report.clusters:
+                ks = set(nearest[list(cluster.indices)].tolist())
+                assert len(ks) == 1, N
+                root = roots[ks.pop()]
+                assert cluster.phase == root or (
+                    cluster.phase == 0.0 and min(root, 2 * np.pi - root) < spectral.CLUSTER_TOL
+                ), N
 
 
 class TestProjectors:
@@ -258,7 +309,7 @@ class TestProjectors:
         k = np.arange(n)
         dft = np.array([1, 1j, -1, -1j])[np.outer(k, k) % n] / math.sqrt(n)
         report = replace(synthetic_report(np.exp(2j * np.pi * k / n)), eigenvectors=dft)
-        result = supnorm_summary(cluster_eigenvalues(report))
+        result = supnorm_summary(cluster_eigenvalues(report, n))
         assert result.value == pytest.approx(1 / math.sqrt(n), abs=1e-12)
         assert result.witness_index == 0
         assert np.allclose(np.abs(result.witness), 1 / math.sqrt(n))
@@ -279,12 +330,12 @@ class TestProjectors:
         assert np.abs(result.witness).max() == pytest.approx(result.value, abs=1e-12)
 
     def test_singleton_cluster_equals_vector_supnorm(self):
-        # order 8 at N=7 puts the spectrum outside the short-period
-        # regime; gap clustering keeps all eigenvalues simple
+        # period 8 at N=7: snapping to the 8th roots keeps all
+        # eigenvalues simple
         prop = build_propagator(A, 7)
         record = quantum_period(A, 7)
         assert record.n_N == 8
-        report = cluster_eigenvalues(eigendecompose(prop), n=record.n_N, lam=LAM)
+        report = cluster_eigenvalues(eigendecompose(prop), n=record.n_N)
         assert all(c.dim == 1 for c in report.clusters)
         for cluster, value in zip(report.clusters, cluster_supnorms(report)):
             vector = report.eigenvectors[:, cluster.indices[0]]
@@ -310,8 +361,8 @@ class TestSupnormSummary:
         assert result.value - best < 5e-2
 
     def test_phase_invariance(self, prop5):
-        base = summarize(prop5.entries, n=3, lam=LAM)
-        rotated = summarize(np.exp(0.37j) * prop5.entries, n=3, lam=LAM)
+        base = summarize(prop5.entries, n=3)
+        rotated = summarize(np.exp(0.37j) * prop5.entries, n=3)
         assert rotated.value == pytest.approx(base.value, abs=1e-10)
         assert rotated.cluster_dim == base.cluster_dim
         assert rotated.witness_index == base.witness_index
@@ -321,7 +372,7 @@ class TestSupnormSummary:
         # eigenvectors are coordinate vectors, so every cluster's sup
         # norm is exactly 1; the first cluster in phase order must win
         values = np.exp(2j * np.pi * turn) * np.array([1, 1, 1j, -1, -1, -1])
-        report = cluster_eigenvalues(synthetic_report(values))
+        report = cluster_eigenvalues(synthetic_report(values), 4)
         assert cluster_supnorms(report) == [1.0] * 3
         result = supnorm_summary(report)
         assert result.cluster_id == 0
@@ -329,21 +380,22 @@ class TestSupnormSummary:
         assert result.witness_index == report.clusters[0].indices[0]
 
     @pytest.mark.parametrize(
-        "entries, N, snapped",
+        "entries, N",
         [
-            ((2, 3, 1, 2), 7, False),
-            ((2, 3, 1, 2), 71, True),
-            ((2, 3, 1, 2), 195, False),
-            ((2, 3, 1, 2), 265, True),
-            # negative trace: lambda is unknown, so always gap clustering
-            ((-2, 3, 1, -2), 71, False),
+            ((2, 3, 1, 2), 7),
+            ((2, 3, 1, 2), 71),
+            ((2, 3, 1, 2), 195),
+            ((2, 3, 1, 2), 265),
+            # negative trace: no lambda, but a quantum period all the same
+            ((-2, 3, 1, -2), 71),
+            ((-2, 3, 1, -2), 73),
         ],
     )
-    def test_witness_is_eigenvector(self, entries, N, snapped):
+    def test_witness_is_eigenvector(self, entries, N):
         # profile prints the witness: it must lie in the winning
-        # eigenspace, whichever clustering path built that eigenspace
+        # eigenspace, at short and long quantum periods alike
         _, report = clustered_spectrum(CatMatrix(*entries), N)
-        assert (report.global_phase is not None) == snapped
+        assert report.global_phase is not None
         result = supnorm_summary(report)
         mu = np.exp(1j * report.clusters[result.cluster_id].phase)
         w = result.witness
