@@ -8,9 +8,7 @@ error rows rather than aborting a sweep.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from operator import attrgetter
@@ -24,7 +22,6 @@ from .arith import (
     CertificationError,
     PeriodRecord,
     certify,
-    matrix_power,
     quantum_period,
     require_quantizable,
     short_period_moduli,
@@ -166,11 +163,15 @@ def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[
     while the pool starts its workers and is restored afterwards. fn and
     the items must pickle (a module-level function or a partial of one).
     Results come back in item order; an exception raised by fn
-    propagates. jobs == 1 runs in this process.
+    propagates. jobs == 1 runs in this process. Each spawned worker pays
+    its own imports before its first item: about 0.1 s for numpy, plus
+    about 0.3 s for SciPy at its first Schur form.
     """
     items = list(items)
     if jobs == 1 or len(items) <= 1:
         return list(map(fn, items))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=min(jobs, len(items)), mp_context=context) as pool:
@@ -281,9 +282,9 @@ def dispersive_scan(
     intertwining the shift argument rests on: quantize.intertwining_defect
     of M within DRIFT_TOL. A failed check ends that N with an error row
     and the scan moves on. The comparison bound sqrt(|b_j|/N) comes from
-    the exact integer power of the map, keeping the two sides of the
-    check independent. Every N is validated before any propagator is
-    built.
+    the exact integer power A^j, a running product, keeping the two
+    sides of the check independent. Every N is validated before any
+    propagator is built.
     """
     require_quantizable(A)
     if j_max < 1:
@@ -295,6 +296,7 @@ def dispersive_scan(
     for N in N_list:
         prop = build_propagator(A, N)
         column = prop.entries[:, 0].copy()
+        power = A
         for j in range(1, j_max + 1):
             drift = abs(float(np.vdot(column, column).real) - 1.0)
             try:
@@ -307,7 +309,7 @@ def dispersive_scan(
                     DispersiveRecord(N=N, j=j, norm_1_inf=None, bound=None, error=str(exc))
                 )
                 break
-            b_j = matrix_power(A, j).b
+            b_j = power.b
             if b_j != 0:
                 try:
                     bound = math.sqrt(abs(b_j) / N)
@@ -320,6 +322,7 @@ def dispersive_scan(
             )
             if j < j_max:
                 column = prop.entries @ column
+                power = power @ A
     return records
 
 

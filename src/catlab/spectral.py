@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .arith import certify
 from .quantize import Propagator
@@ -104,6 +103,8 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     any eigenvalue modulus strays from 1 by more than MODULUS_TOL; scipy's
     LinAlgError propagates on solver non-convergence.
     """
+    # imported here: it costs ~0.3 s per process, paid only by eigensolving commands
+    import scipy.linalg
     matrix, n = _as_matrix(M)
     T, Z = scipy.linalg.schur(matrix, output="complex")
     values = np.diag(T).copy()

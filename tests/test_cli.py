@@ -3,6 +3,7 @@
 import json
 import re
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -600,6 +601,45 @@ class TestIOErrors:
             _, err = process.communicate(timeout=300)
         assert len(head) == 10
         assert (process.returncode, err) == (0, b"")
+
+
+# Runs each argv list of sys.argv[1] through main in one interpreter and
+# prints, per call, its exit code and which of the lazily imported
+# modules are loaded by then.
+_IMPORT_PROBE = """
+import json, sys
+from catlab.cli import main
+lazy = ("scipy.linalg", "concurrent.futures.process")
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    print(json.dumps([argv[0], code, [m for m in lazy if m in sys.modules]]))
+"""
+
+
+class TestImportBoundary:
+    def test_only_eigensolving_commands_load_scipy(self, capsys, tmp_path, cli_module_args):
+        # importing scipy.linalg costs about 0.3 s per process; commands
+        # that take no Schur form must not pay it, nor start a worker pool
+        records = tmp_path / "scan.csv"
+        assert run(capsys, "scan", "--n-min", "3", "--n-max", "21", "--out", str(records))[0] == 0
+        out = str(tmp_path / "out")
+        calls = [
+            ["dispersive", "--n", "9", "--jmax", "3", "--out", out],
+            ["propagator", "--n", "9", "--format", "binary", "--out", out],
+            ["period", "--n", "9", "--out", out],
+            ["sequence", "--count", "2", "--out", out],
+            ["classify", "--out", out],
+            ["verify", "--records", str(records), "--out", out],
+            ["spectrum", "--n", "9", "--out", out],
+        ]
+        command = cli_module_args()
+        command["args"] = [sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)]
+        done = subprocess.run(**command, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        loaded = [json.loads(line) for line in done.stdout.splitlines()]
+        assert loaded == [[argv[0], 0, []] for argv in calls[:-1]] + [
+            ["spectrum", 0, ["scipy.linalg"]]
+        ]
 
 
 class TestFlagsPerCommand:

@@ -75,3 +75,21 @@ def test_every_export_resolves():
         if not hasattr(module, name)
     ]
     assert all(module.__all__ for module in modules) and missing == []
+
+
+def test_scipy_imported_only_inside_eigendecompose():
+    # importing scipy.linalg costs about 0.3 s per process, so only the
+    # function that takes the Schur form imports it; at module level it
+    # would load with every catlab command
+    found = [
+        "%s:%s" % (path.name, getattr(top, "name", "<module>"))
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        )
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert found == ["spectral.py:eigendecompose"]
