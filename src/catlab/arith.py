@@ -3,7 +3,8 @@
 Everything in this module works with arbitrary-precision integers: the
 entry recurrence p_t grows like lambda^t and leaves 64-bit range around
 t = 25 already for trace 4, and the modulus/order identities below are
-meaningless unless they hold exactly.
+meaningless unless they hold exactly. It also holds what every module
+shares and needs no numpy for: certify and the CSV table format.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 
 class CertificationError(RuntimeError):
@@ -21,9 +22,21 @@ class CertificationError(RuntimeError):
 
 
 def _cell(x) -> str:
-    """A number as a CSV cell writes it: floats as repr, anything else with str."""
+    """One CSV cell: None empty, booleans true/false, floats as repr (which
+    round-trips exactly), anything else with str."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
     # float() first: repr of an np.float64 is "np.float64(...)"
     return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def write_table(fields: Sequence[str], rows: Iterable[Iterable], fh: IO[str]) -> None:
+    """The one CSV table format: a header line, then one line of _cell per row."""
+    fh.write(",".join(fields) + "\n")
+    for row in rows:
+        fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def certify(stage: str, N: int, check: str, value: float, bound: float) -> None:

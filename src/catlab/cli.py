@@ -22,7 +22,10 @@ import os
 import sys
 from typing import IO, Callable
 
-from . import arith, experiments, quantize, spectral, svg
+from . import arith, svg
+
+# quantize, spectral and experiments load numpy, so only the commands that
+# use them import them: classify, sequence and period start without it.
 
 PROG = "catlab"
 # CSV columns of the tables built here; the experiments module owns the rest.
@@ -192,7 +195,7 @@ def cmd_sequence(cfg: argparse.Namespace) -> int:
         for k, (modulus, period) in enumerate(pairs, start=1)
     ]
     rows = (row.values() for row in payload)
-    _emit(cfg, payload, lambda fh: experiments.write_table(SEQUENCE_FIELDS, rows, fh))
+    _emit(cfg, payload, lambda fh: arith.write_table(SEQUENCE_FIELDS, rows, fh))
     return 0
 
 
@@ -200,16 +203,16 @@ def cmd_period(cfg: argparse.Namespace) -> int:
     n = _require_n(cfg)
     payload = arith.quantum_period(_matrix(cfg), n).to_dict()
     rows = [payload.values()]
-    _emit(cfg, payload, lambda fh: experiments.write_table(payload.keys(), rows, fh))
+    _emit(cfg, payload, lambda fh: arith.write_table(payload.keys(), rows, fh))
     return 0
 
 
 def cmd_propagator(cfg: argparse.Namespace) -> int:
+    from . import quantize
+
     n = _require_n(cfg)
     prop = quantize.build_propagator(_matrix(cfg), n, allow_even=cfg.allow_even_n)
     if cfg.format == "binary":
-        if not cfg.out:
-            raise UsageError("binary output requires --out")
         with open(cfg.out, "wb") as fh:
             quantize.write_matrix_binary(prop.entries, fh)
     elif cfg.format == "json":
@@ -227,6 +230,8 @@ def cmd_propagator(cfg: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
+    from . import experiments, spectral
+
     n = _require_n(cfg)
     _, report = experiments.clustered_spectrum(_matrix(cfg), n, cfg.allow_even_n)
     payload = spectral.report_to_dict(report)
@@ -236,7 +241,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
         (i, re, im, clusters[cluster_of[i]]["phase"], cluster_of[i], report.residuals[i])
         for i, (re, im) in enumerate(payload["eigenvalues"])
     )
-    _emit(cfg, payload, lambda fh: experiments.write_table(SPECTRUM_FIELDS, rows, fh))
+    _emit(cfg, payload, lambda fh: arith.write_table(SPECTRUM_FIELDS, rows, fh))
     return 0
 
 
@@ -250,8 +255,10 @@ def _warn_errors(records) -> None:
         )
 
 
-def _scan(cfg: argparse.Namespace) -> list[experiments.ScanRecord]:
+def _scan(cfg: argparse.Namespace) -> list:
     """Scan and report failed records before any later step can fail."""
+    from . import experiments
+
     records = experiments.scan_supnorms(
         _matrix(cfg), cfg.n_min, cfg.n_max, jobs=cfg.jobs, allow_even=cfg.allow_even_n
     )
@@ -260,6 +267,8 @@ def _scan(cfg: argparse.Namespace) -> list[experiments.ScanRecord]:
 
 
 def cmd_scan(cfg: argparse.Namespace) -> int:
+    from . import experiments
+
     records = _scan(cfg)
     payload = [r.to_dict() for r in records]
     _emit(cfg, payload, lambda fh: experiments.write_scan_csv(records, fh))
@@ -268,6 +277,8 @@ def cmd_scan(cfg: argparse.Namespace) -> int:
 
 
 def cmd_profile(cfg: argparse.Namespace) -> int:
+    from . import experiments
+
     n = _require_n(cfg)
     profile = experiments.eigenfunction_profile(_matrix(cfg), n, allow_even=cfg.allow_even_n)
     payload = [{"i": i, "abs_u_i": float(v)} for i, v in enumerate(profile)]
@@ -277,6 +288,8 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
 
 
 def cmd_dispersive(cfg: argparse.Namespace) -> int:
+    from . import experiments
+
     n = _require_n(cfg)
     records = experiments.dispersive_scan(_matrix(cfg), [n], cfg.jmax)
     _warn_errors(records)
@@ -294,6 +307,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     (--allow-even-n, --jobs) are a usage error; config-file values of
     those four keys are ignored.
     """
+    from . import experiments
+
     if cfg.records:
         clash = [_option(f) for f in ("allow_even_n", "jobs") if f in cfg.given]
         if clash:
@@ -313,7 +328,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     rows = (
         (bound, *check.values()) for bound in ("lower", "upper") for check in payload[bound]
     )
-    _emit(cfg, payload, lambda fh: experiments.write_table(VERIFY_FIELDS, rows, fh))
+    _emit(cfg, payload, lambda fh: arith.write_table(VERIFY_FIELDS, rows, fh))
     return 0
 
 
@@ -376,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_config(args, _load_config(args.config))
         if cfg.format == "binary" and args.command != "propagator":
             raise UsageError("format binary applies only to propagator")
+        if cfg.format == "binary" and not cfg.out:
+            raise UsageError("binary output requires --out")
         return args.handler(cfg)
     except UsageError as exc:
         print("%s: usage error: %s" % (PROG, exc), file=sys.stderr)

@@ -18,14 +18,13 @@ import numpy as np
 
 from .arith import (
     CatMatrix,
-    _cell,
     CertificationError,
     PeriodRecord,
     certify,
     quantum_period,
     require_quantizable,
     short_period_moduli,
-    validate_catmap,
+    write_table,
 )
 from .quantize import build_propagator, intertwining_defect
 from .spectral import (
@@ -43,14 +42,12 @@ __all__ = [
     "SCAN_FIELDS",
     "DISPERSIVE_FIELDS",
     "PROFILE_FIELDS",
-    "short_period_set",
     "clustered_spectrum",
     "process_map",
     "scan_supnorms",
     "eigenfunction_profile",
     "dispersive_scan",
     "verify_bounds",
-    "write_table",
     "write_scan_csv",
     "read_scan_csv",
     "write_dispersive_csv",
@@ -120,14 +117,6 @@ def _envelopes(N: int, lam: float) -> tuple[float, float, float]:
         return math.inf, math.inf, trivial
     log_lam = math.log(N, lam)
     return (2.0 * log_lam) ** -0.5, log_lam ** -0.5, trivial
-
-
-def short_period_set(A: CatMatrix, n_max: int) -> dict[int, int]:
-    """All short-period moduli N_k <= n_max mapped to their periods t_k;
-    empty for a map outside the short-period hypotheses."""
-    if not validate_catmap(A.a, A.b, A.c, A.d).short_period_eligible:
-        return {}
-    return dict(short_period_moduli(A, n_max))
 
 
 def clustered_spectrum(
@@ -223,7 +212,9 @@ def scan_supnorms(
     allow_even.
 
     One record per N, ordered by N; domain and certification failures
-    of one N become error rows. jobs > 1 distributes the per-N work over
+    of one N become error rows. is_bdb marks the short-period moduli
+    N_k, and is false on every row for a map outside the short-period
+    hypotheses. jobs > 1 distributes the per-N work over
     that many worker processes with one BLAS thread each (process_map)
     and keeps N order. The records are independent of jobs when BLAS
     runs one thread in this process too. With a multi-threaded BLAS,
@@ -244,7 +235,7 @@ def scan_supnorms(
         raise ValueError("jobs must be positive")
     lam = report.lam
     values = [N for N in range(n_min, n_max + 1) if N % 2 == 1 or allow_even]
-    bdb = short_period_set(A, n_max)
+    bdb = dict(short_period_moduli(A, n_max)) if report.short_period_eligible else {}
 
     blanks = [
         ScanRecord(N, None, None, *_envelopes(N, lam), N in bdb, None, None)
@@ -424,25 +415,6 @@ def verify_bounds(records: Iterable[ScanRecord], eps: float = 0.1) -> BoundsRepo
         upper_first_half_pass=_rate(first),
         upper_second_half_pass=_rate(second),
     )
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return _cell(value)
-
-
-def write_table(fields: Sequence[str], rows: Iterable[Iterable], fh: IO[str]) -> None:
-    """The one CSV table format: a header line, then one line per row.
-
-    Floats are written as repr (round-trips exactly), booleans as
-    true/false, None as an empty cell, anything else with str.
-    """
-    fh.write(",".join(fields) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def write_scan_csv(records: Iterable[ScanRecord], fh: IO[str]) -> None:

@@ -20,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .arith import CatMatrix, certify, require_quantizable
+from .arith import CatMatrix, _cell, certify, require_quantizable
 
 __all__ = [
     "Propagator",
@@ -180,11 +180,7 @@ def intertwining_defect(M: Propagator) -> float:
 def write_matrix_csv(matrix: np.ndarray, fh: IO[str]) -> None:
     """Dump a complex matrix as CSV rows of interleaved re,im pairs."""
     for row in np.asarray(matrix):
-        cells: list[str] = []
-        for value in row:
-            cells.append(repr(float(value.real)))
-            cells.append(repr(float(value.imag)))
-        fh.write(",".join(cells))
+        fh.write(",".join(_cell(float(part)) for v in row for part in (v.real, v.imag)))
         fh.write("\n")
 
 

@@ -64,11 +64,11 @@ class SpectrumReport:
     degenerate clusters). clusters is empty until cluster_eigenvalues
     runs; global_phase is then phi = angle(lambda_0^n), the phase of the
     certified scalar matrix M^n = e^(i phi) I at the quantum period n (in
-    (-pi, pi], unlike the cluster phases in [0, 2*pi)).
+    (-pi, pi], unlike the cluster phases in [0, 2*pi)). The matrix itself
+    is not kept; a caller that needs it holds on to the propagator.
     """
 
     N: int
-    matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
@@ -124,7 +124,6 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     certify("eigensolve", n, "max |modulus - 1|", stray, MODULUS_TOL)
     return SpectrumReport(
         N=n,
-        matrix=matrix,
         eigenvalues=values,
         eigenvectors=vectors,
         residuals=residuals,

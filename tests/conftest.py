@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 import catlab
-from catlab import arith, experiments, quantize
+from catlab import arith, experiments, quantize, spectral
 from catlab.arith import CatMatrix, certify, matrix_power, validate_catmap
-from catlab.experiments import DispersiveRecord, clustered_spectrum, process_map
+from catlab.experiments import DispersiveRecord, process_map
 from catlab.quantize import Propagator, build_propagator
 from catlab.spectral import CLUSTER_TOL, TWO_PI, EigenCluster, SpectrumReport, supnorm_summary
 
@@ -191,7 +191,10 @@ class SurrogateSweep:
 def _surrogate_point(N: int) -> SurrogatePoint:
     """Sup norm of one modulus plus the averaged-power bound on every
     eigenpair at window T = ceil(0.75 * log_lam N)."""
-    _, report = clustered_spectrum(SWEEP_MAP, N)
+    # the pipeline of experiments.clustered_spectrum, keeping the propagator
+    n = arith.quantum_period(SWEEP_MAP, N).n_N
+    prop = build_propagator(SWEEP_MAP, N)
+    report = spectral.cluster_eigenvalues(spectral.eigendecompose(prop), n)
     value = supnorm_summary(report).value
 
     # Powers come from repeated multiplication; row norms of the
@@ -199,7 +202,7 @@ def _surrogate_point(N: int) -> SurrogatePoint:
     # ||B[i,:]||^2 = (B B*)_ii = (1/T^2) sum_{t,s} mu^{s-t} D[t,s,i]
     # with D[t,s,i] = sum_j M^t[i,j] conj(M^s[i,j]).
     T = math.ceil(0.75 * math.log(N, SWEEP_LAM))
-    matrix = report.matrix
+    matrix = prop.entries
     powers = np.empty((T, N, N), dtype=np.complex128)
     acc = np.eye(N, dtype=np.complex128)
     for t in range(T):

@@ -328,11 +328,10 @@ def _raised(call):
 
 
 def _scalar_report(value, N):
-    """A diagonal report whose matrix is value times the identity."""
+    """A diagonal report of value times the identity."""
     values = np.full(N, value, dtype=np.complex128)
     return spectral.SpectrumReport(
         N=N,
-        matrix=np.diag(values),
         eigenvalues=values,
         eigenvectors=np.eye(N, dtype=np.complex128),
         residuals=np.zeros(N),

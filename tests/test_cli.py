@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from catlab import experiments, quantize, spectral
-from catlab.arith import CatMatrix
+from catlab.arith import CatMatrix, _cell
 from catlab.cli import main
-from catlab.experiments import _fmt
 from catlab.quantize import read_matrix_binary
 
 
@@ -131,6 +130,18 @@ class TestPropagator:
         code, _, err = run(capsys, "propagator", "--n", "5", "--format", "binary")
         assert code == 2
         assert "--out" in err
+
+    def test_binary_without_out_rejected_before_build(self, capsys, monkeypatch):
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(args)
+            raise RuntimeError("propagator built before the flags were checked")
+
+        monkeypatch.setattr(quantize, "build_propagator", build)
+        code, out, err = run(capsys, "propagator", "--n", "5", "--format", "binary")
+        assert (code, out, built) == (2, "", [])
+        assert err == "catlab: usage error: binary output requires --out\n"
 
     def test_even_needs_flag(self, capsys):
         code, _, err = run(capsys, "propagator", "--n", "4")
@@ -604,12 +615,14 @@ class TestIOErrors:
 
 
 # Runs each argv list of sys.argv[1] through main in one interpreter and
-# prints, per call, its exit code and which of the lazily imported
-# modules are loaded by then.
+# prints which of the lazily imported modules are loaded once the package
+# is imported, then, per call, its exit code and which are loaded by then.
 _IMPORT_PROBE = """
 import json, sys
+import catlab, catlab.arith, catlab.cli
 from catlab.cli import main
-lazy = ("scipy.linalg", "concurrent.futures.process")
+lazy = ("numpy", "scipy.linalg", "concurrent.futures.process")
+print(json.dumps(["import", None, [m for m in lazy if m in sys.modules]]))
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
     print(json.dumps([argv[0], code, [m for m in lazy if m in sys.modules]]))
@@ -618,17 +631,18 @@ for argv in json.loads(sys.argv[1]):
 
 class TestImportBoundary:
     def test_only_eigensolving_commands_load_scipy(self, capsys, tmp_path, cli_module_args):
-        # importing scipy.linalg costs about 0.3 s per process; commands
-        # that take no Schur form must not pay it, nor start a worker pool
+        # importing numpy costs about 0.1 s per process and scipy.linalg
+        # about 0.3 s; the integer commands load neither, and commands
+        # that take no Schur form do not load SciPy nor start a worker pool
         records = tmp_path / "scan.csv"
         assert run(capsys, "scan", "--n-min", "3", "--n-max", "21", "--out", str(records))[0] == 0
         out = str(tmp_path / "out")
         calls = [
+            ["classify", "--out", out],
+            ["sequence", "--count", "2", "--out", out],
+            ["period", "--n", "9", "--out", out],
             ["dispersive", "--n", "9", "--jmax", "3", "--out", out],
             ["propagator", "--n", "9", "--format", "binary", "--out", out],
-            ["period", "--n", "9", "--out", out],
-            ["sequence", "--count", "2", "--out", out],
-            ["classify", "--out", out],
             ["verify", "--records", str(records), "--out", out],
             ["spectrum", "--n", "9", "--out", out],
         ]
@@ -637,9 +651,12 @@ class TestImportBoundary:
         done = subprocess.run(**command, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         loaded = [json.loads(line) for line in done.stdout.splitlines()]
-        assert loaded == [[argv[0], 0, []] for argv in calls[:-1]] + [
-            ["spectrum", 0, ["scipy.linalg"]]
-        ]
+        assert loaded == (
+            [["import", None, []]]
+            + [[argv[0], 0, []] for argv in calls[:3]]
+            + [[argv[0], 0, ["numpy"]] for argv in calls[3:-1]]
+            + [["spectrum", 0, ["numpy", "scipy.linalg"]]]
+        )
 
 
 class TestFlagsPerCommand:
@@ -678,7 +695,7 @@ def _csv_rows(out):
 
 
 class TestTableFormat:
-    """CSV cells are _fmt of the values in the same command's JSON."""
+    """CSV cells are _cell of the values in the same command's JSON."""
 
     def test_spectrum(self, capsys):
         _, out, _ = run(capsys, "spectrum", "--n", "5", "--format", "json")
@@ -688,11 +705,11 @@ class TestTableFormat:
         assert len(rows) == payload["N"]
         for i, (index, re, im, phase, cid, _) in enumerate(rows):
             cluster = payload["clusters"][int(cid)]
-            assert index == _fmt(i) and i in cluster["indices"]
-            assert [re, im] == [_fmt(v) for v in payload["eigenvalues"][i]]
-            assert phase == _fmt(cluster["phase"])
+            assert index == _cell(i) and i in cluster["indices"]
+            assert [re, im] == [_cell(v) for v in payload["eigenvalues"][i]]
+            assert phase == _cell(cluster["phase"])
         worst = max((row[5] for row in rows), key=float)
-        assert worst == _fmt(payload["residual_max"])
+        assert worst == _cell(payload["residual_max"])
 
     def test_verify(self, capsys):
         argv = ["verify", "--n-min", "3", "--n-max", "31"]
@@ -700,7 +717,7 @@ class TestTableFormat:
         payload = json.loads(out)
         _, out, _ = run(capsys, *argv)
         expected = [
-            [bound] + [_fmt(v) for v in check.values()]
+            [bound] + [_cell(v) for v in check.values()]
             for bound in ("lower", "upper")
             for check in payload[bound]
         ]

@@ -14,7 +14,9 @@ from catlab.arith import (
     CertificationError,
     matrix_power,
     quantum_period,
+    short_period_moduli,
     validate_catmap,
+    write_table,
 )
 from catlab.experiments import (
     DISPERSIVE_FIELDS,
@@ -25,12 +27,10 @@ from catlab.experiments import (
     eigenfunction_profile,
     read_scan_csv,
     scan_supnorms,
-    short_period_set,
     verify_bounds,
     write_dispersive_csv,
     write_profile_csv,
     write_scan_csv,
-    write_table,
 )
 from catlab.quantize import build_propagator
 from catlab.spectral import (
@@ -91,20 +91,22 @@ class TestClusteredSpectrum:
 
 class TestShortPeriodSet:
     def test_reference_set(self):
-        assert short_period_set(A, 1000) == {5: 3, 19: 5, 71: 7, 265: 9, 989: 11}
+        assert dict(short_period_moduli(A, 1000)) == {5: 3, 19: 5, 71: 7, 265: 9, 989: 11}
 
     def test_empty_below_first(self):
-        assert short_period_set(A, 4) == {}
+        assert dict(short_period_moduli(A, 4)) == {}
 
     def test_certifies_periods_as_the_sequence_does(self, off_by_one_period):
         with pytest.raises(
             CertificationError, match=r"^short-period modulus at N=5: \|n_N - t_k\| 1 exceeds 0$"
         ):
-            short_period_set(A, 201)
+            dict(short_period_moduli(A, 201))
 
     def test_empty_outside_hypotheses(self):
-        # quantizable, but gcd(b, c) = 15 fails the short-period hypotheses
-        assert short_period_set(CatMatrix(26, 45, 15, 26), 10**6) == {}
+        # quantizable, but gcd(b, c) = 15 fails the short-period
+        # hypotheses: the scan runs and flags no row
+        records = scan_supnorms(CatMatrix(26, 45, 15, 26), 3, 9)
+        assert [(r.N, r.is_bdb) for r in records] == [(N, False) for N in (3, 5, 7, 9)]
 
 
 class TestScan:

@@ -67,7 +67,7 @@ def test_certification_errors_raised_only_by_certify():
 
 def test_every_export_resolves():
     # a deleted function must leave no stale name in an __all__
-    modules = (catlab, quantize, spectral, experiments)
+    modules = (quantize, spectral, experiments)
     missing = [
         "%s.%s" % (module.__name__, name)
         for module in modules
@@ -93,3 +93,16 @@ def test_scipy_imported_only_inside_eigendecompose():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
     ]
     assert found == ["spectral.py:eigendecompose"]
+
+
+def test_readme_library_example_imports_resolve():
+    # only the imports run: the whole example takes an N=989 Schur form,
+    # and its imports are what a change to the package surface breaks
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    imports = [
+        node
+        for node in ast.parse(block.group(1)).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports
+    exec(compile(ast.Module(body=imports, type_ignores=[]), str(README), "exec"), {})

@@ -68,7 +68,6 @@ def synthetic_report(values):
     n = len(values)
     return SpectrumReport(
         N=n,
-        matrix=np.diag(values),
         eigenvalues=values,
         eigenvectors=np.eye(n, dtype=np.complex128),
         residuals=np.zeros(n),
@@ -119,11 +118,11 @@ class TestEigendecompose:
 
 
 class TestClustering:
-    def test_snap_reference(self, clustered5):
+    def test_snap_reference(self, prop5, clustered5):
         assert len(clustered5.clusters) <= 3
         assert sum(c.dim for c in clustered5.clusters) == 5
         assert clustered5.global_phase is not None
-        _, angle = dense_scalar_residual(clustered5.matrix, 3)
+        _, angle = dense_scalar_residual(prop5.entries, 3)
         assert angle == pytest.approx(clustered5.global_phase)
 
     def test_snap_multiplicity_bound(self, clustered71):
@@ -222,8 +221,9 @@ class TestClustering:
         monkeypatch.setattr(spectral, "certify", recording)
         matrix = CatMatrix(*entries)
         n = quantum_period(matrix, N).n_N
-        clustered = cluster_eigenvalues(eigendecompose(build_propagator(matrix, N)), n)
-        residual, angle = dense_scalar_residual(clustered.matrix, n)
+        prop = build_propagator(matrix, N)
+        clustered = cluster_eigenvalues(eigendecompose(prop), n)
+        residual, angle = dense_scalar_residual(prop.entries, n)
         assert residual <= certified["off-scalar bound of M^%d" % n] <= spectral.SCALAR_TOL
         gap = (clustered.global_phase - angle) % (2 * np.pi)
         assert min(gap, 2 * np.pi - gap) <= 1e-12
@@ -399,7 +399,8 @@ class TestSupnormSummary:
         result = supnorm_summary(report)
         mu = np.exp(1j * report.clusters[result.cluster_id].phase)
         w = result.witness
-        assert np.linalg.norm(report.matrix @ w - mu * w) <= 1e-10
+        matrix = build_propagator(CatMatrix(*entries), N).entries
+        assert np.linalg.norm(matrix @ w - mu * w) <= 1e-10
 
     def test_unclustered_report_rejected(self, prop5):
         with pytest.raises(ValueError):
