@@ -315,8 +315,9 @@ def perturbed_propagator(monkeypatch):
     monkeypatch.setattr(experiments, "build_propagator", perturbed)
 
 
-# Scan workers are spawned and import catlab afresh, so a monkeypatch in
-# the test process does not reach them. These replacements for
+# Scan workers are forked from a preloaded server, an interpreter of its
+# own that imported catlab from source when it started, so a monkeypatch
+# in the test process does not reach them. These replacements for
 # experiments._scan_single are module level, so a worker imports them and
 # patches a stage in its own process before it runs the real one.
 _real_scan_single = experiments._scan_single

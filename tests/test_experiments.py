@@ -4,6 +4,10 @@ import io
 import math
 import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from catlab.experiments import (
     clustered_spectrum,
     dispersive_scan,
     eigenfunction_profile,
+    process_map,
     read_scan_csv,
     scan_supnorms,
     verify_bounds,
@@ -51,6 +56,28 @@ ORACLE_MAPS = [
     CatMatrix(-4, 3, -11, 8),
     CatMatrix(26, 45, 15, 26),
 ]
+
+
+def _worker_probe(_item):
+    """What a pool worker reports: its pid, its parent's pid, whether
+    SciPy was loaded before its item, and its BLAS thread pin."""
+    return (
+        os.getpid(),
+        os.getppid(),
+        "scipy.linalg" in sys.modules,
+        os.environ.get("OPENBLAS_NUM_THREADS"),
+    )
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process. An orphan that has exited but that
+    its adopter has not reaped yet (a zombie, state Z) has stopped."""
+    try:
+        os.kill(pid, 0)
+        stat = Path("/proc/%d/stat" % pid).read_text()
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +210,41 @@ class TestScan:
         before = dict(os.environ)
         scan_supnorms(A, 3, 9, jobs=2)
         assert dict(os.environ) == before
+
+    def test_workers_start_warm_and_pinned(self, monkeypatch):
+        # the parent's own BLAS pin is 3; every pool forks its workers
+        # from one server that already holds SciPy and a pin of 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        first = process_map(_worker_probe, range(4), jobs=2)
+        second = process_map(_worker_probe, range(4), jobs=2)
+        assert all(pid != os.getpid() for pid, *_ in first + second)
+        servers = {ppid for _, ppid, *_ in first + second}
+        assert len(servers) == 1 and os.getpid() not in servers
+        assert [(loaded, pin) for _, _, loaded, pin in second] == [(True, "1")] * 4
+
+    def test_no_worker_or_server_outlives_its_caller(self):
+        tests = Path(__file__).resolve().parent
+        src = Path(experiments.__file__).resolve().parents[1]
+        code = (
+            "from catlab.experiments import process_map\n"
+            "from test_experiments import _worker_probe\n"
+            "reports = process_map(_worker_probe, range(4), jobs=2)\n"
+            "print(*sorted({pid for report in reports for pid in report[:2]}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) >= 2  # the server and at least one worker
+        deadline = time.monotonic() + 5.0
+        running = set(pids)
+        while running and time.monotonic() < deadline:
+            running = {pid for pid in running if _running(pid)}
+            time.sleep(0.05)
+        assert not running, "processes left running: %s" % sorted(running)
 
     def test_jobs_give_identical_csv(self, run_cli_module):
         # 65 is a point where clusters of different dimension tie in
