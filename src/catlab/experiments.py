@@ -142,21 +142,27 @@ _R = TypeVar("_R")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _check_blas_pin() -> None:
+    """Pool initializer: refuse a worker whose BLAS did not load with one thread."""
+    if any(os.environ.get(var) != "1" for var in _BLAS_THREAD_VARS):
+        raise RuntimeError("this process's forkserver started without catlab's BLAS pin of 1")
+
+
 def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[_R]:
     """list(map(fn, items)), on `jobs` worker processes when jobs > 1.
 
-    Workers are forked from a preloaded server (multiprocessing's
-    forkserver; spawned afresh where the platform has none) that has
-    already imported catlab and scipy.linalg, so no pool pays those
-    imports again. OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-    MKL_NUM_THREADS are set to 1 while the pool starts its workers and
-    restored afterwards: BLAS reads them only when it loads, and the
-    server loads it when it starts, once per process, in the first pool.
-    The server keeps the environment of that first pool. fn and the
-    items must pickle (a module-level function or a partial of one).
-    Results come back in item order; an exception raised by fn
-    propagates. jobs == 1 runs in this process. Starting the server
-    costs about 0.45 s, once; later pools start in milliseconds.
+    Workers fork from multiprocessing's forkserver (so jobs > 1 needs
+    POSIX), preloaded with catlab and scipy.linalg, so no pool pays those
+    imports again. The first pool of a process starts the server (about
+    0.45 s) while OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+    MKL_NUM_THREADS read 1, so its BLAS loads with one thread, and the
+    server keeps that environment; os.environ is restored afterwards. The
+    preload replaces the process's forkserver preload list. Workers of a
+    server started earlier without the pin fail their initializer, and
+    the pool raises BrokenProcessPool. fn and the items must pickle (a
+    module-level function or a partial of one). Results come back in
+    item order; an exception raised by fn propagates. jobs == 1 runs in
+    this process.
     """
     items = list(items)
     if jobs == 1 or len(items) <= 1:
@@ -164,15 +170,13 @@ def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    context = multiprocessing.get_context(
-        "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
-    )
+    context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload(["catlab.experiments", "scipy.linalg"])
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items)), mp_context=context) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)), mp_context=context,
+                             initializer=_check_blas_pin) as pool:
         try:
             os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-            # map submits every item at once, which starts the server (in
-            # the first pool) and every worker
+            # map submits every item at once: it starts the server and every worker
             results = pool.map(fn, items)
         finally:
             for var, value in saved.items():

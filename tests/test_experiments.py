@@ -71,13 +71,27 @@ def _worker_probe(_item):
 
 def _running(pid: int) -> bool:
     """Whether pid is a live process. An orphan that has exited but that
-    its adopter has not reaped yet (a zombie, state Z) has stopped."""
+    its adopter has not reaped yet (a zombie, state Z) has stopped. The
+    state is read from /proc; without it the check cannot be made."""
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("needs /proc to tell a live process from a zombie")
     try:
         os.kill(pid, 0)
         stat = Path("/proc/%d/stat" % pid).read_text()
     except (ProcessLookupError, FileNotFoundError):
         return False
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports catlab and this module."""
+    tests = Path(__file__).resolve().parent
+    src = Path(experiments.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -223,18 +237,11 @@ class TestScan:
         assert [(loaded, pin) for _, _, loaded, pin in second] == [(True, "1")] * 4
 
     def test_no_worker_or_server_outlives_its_caller(self):
-        tests = Path(__file__).resolve().parent
-        src = Path(experiments.__file__).resolve().parents[1]
-        code = (
+        done = _run_python(
             "from catlab.experiments import process_map\n"
             "from test_experiments import _worker_probe\n"
             "reports = process_map(_worker_probe, range(4), jobs=2)\n"
             "print(*sorted({pid for report in reports for pid in report[:2]}))\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
-            capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         pids = [int(pid) for pid in done.stdout.split()]
@@ -245,6 +252,21 @@ class TestScan:
             running = {pid for pid in running if _running(pid)}
             time.sleep(0.05)
         assert not running, "processes left running: %s" % sorted(running)
+
+    def test_workers_of_an_unpinned_server_fail_loudly(self):
+        # a forkserver that something else started before catlab's first
+        # pool keeps its own BLAS thread count; the workers must refuse
+        # to run rather than oversubscribe the cores
+        done = _run_python(
+            "import os, multiprocessing.forkserver\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '4'\n"
+            "multiprocessing.forkserver.ensure_running()\n"
+            "from catlab.experiments import process_map\n"
+            "process_map(abs, range(4), jobs=2)\n"
+        )
+        assert done.returncode != 0
+        assert "BrokenProcessPool" in done.stderr
+        assert "started without catlab's BLAS pin of 1" in done.stderr
 
     def test_jobs_give_identical_csv(self, run_cli_module):
         # 65 is a point where clusters of different dimension tie in
