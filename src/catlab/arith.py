@@ -52,15 +52,6 @@ def certify(stage: str, N: int, check: str, value: float, bound: float) -> None:
         )
 
 
-class OrderCapExceeded(RuntimeError):
-    """The modular order search ran past its iteration cap.
-
-    Unreachable for a quantizable matrix and N >= 1 (the order of an
-    invertible matrix mod N always exists); raised to surface bugs
-    instead of looping forever.
-    """
-
-
 @dataclass(frozen=True)
 class CatMatrix:
     """Integer 2x2 matrix [[a, b], [c, d]].
@@ -259,7 +250,8 @@ def matrix_order_mod(A: CatMatrix, N: int) -> int:
     """Least t >= 1 with A^t congruent to the identity mod N.
 
     Sequential modular multiplication; the cap of 6*N^2 iterations guards
-    against nontermination and is unreachable for valid input.
+    against nontermination (RuntimeError) and is unreachable for valid
+    input.
     """
     if N < 1:
         raise ValueError("modulus must be positive, got %d" % N)
@@ -272,9 +264,7 @@ def matrix_order_mod(A: CatMatrix, N: int) -> int:
         power = (power @ A).mod(N)
         t += 1
         if t > cap:
-            raise OrderCapExceeded(
-                "no order found for modulus %d within %d steps" % (N, cap)
-            )
+            raise RuntimeError("no order found for modulus %d within %d steps" % (N, cap))
     return t
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from typing import IO, Callable
@@ -127,8 +128,21 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+def _json_safe(value):
+    """value with every inf or nan float written as its CSV cell ("inf",
+    "-inf", "nan"): JSON has no token for them, and null already means an
+    absent value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return arith._cell(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _write_text(cfg: argparse.Namespace, render: Callable[[IO[str]], None]) -> None:
@@ -291,7 +305,7 @@ def cmd_dispersive(cfg: argparse.Namespace) -> int:
     from . import experiments
 
     n = _require_n(cfg)
-    records = experiments.dispersive_scan(_matrix(cfg), [n], cfg.jmax)
+    records = experiments.dispersive_scan(_matrix(cfg), n, cfg.jmax)
     _warn_errors(records)
     payload = [r.to_dict() for r in records]
     _emit(cfg, payload, lambda fh: experiments.write_dispersive_csv(records, fh))

@@ -269,9 +269,7 @@ def eigenfunction_profile(A: CatMatrix, N: int, allow_even: bool = False) -> np.
     return profile
 
 
-def dispersive_scan(
-    A: CatMatrix, N_list: Sequence[int], j_max: int
-) -> list[DispersiveRecord]:
+def dispersive_scan(A: CatMatrix, N: int, j_max: int) -> list[DispersiveRecord]:
     """Largest entry modulus of propagator powers M^j for 1 <= j <= j_max.
 
     M^j intertwines translations, M^j U_v = phase * U_(A^j v) M^j, and
@@ -281,49 +279,44 @@ def dispersive_scan(
     x_(j-1), and its squared l2 norm is checked against 1 within
     DRIFT_TOL at every power. The first power also certifies the
     intertwining the shift argument rests on: quantize.intertwining_defect
-    of M within DRIFT_TOL. A failed check ends that N with an error row
-    and the scan moves on. The comparison bound sqrt(|b_j|/N) comes from
-    the exact integer power A^j, a running product, keeping the two
-    sides of the check independent. Every N is validated before any
-    propagator is built.
+    of M within DRIFT_TOL. A failed check ends the records with an error
+    row. The comparison bound sqrt(|b_j|/N) comes from the exact integer
+    power A^j, a running product, keeping the two sides of the check
+    independent. N is validated before the propagator is built.
     """
     require_quantizable(A)
     if j_max < 1:
         raise ValueError("j_max must be positive, got %d" % j_max)
-    for N in N_list:
-        if N % 2 == 0:
-            raise ValueError("dispersive scan expects odd N, got %d" % N)
+    if N % 2 == 0:
+        raise ValueError("dispersive scan expects odd N, got %d" % N)
+    prop = build_propagator(A, N)
+    column = prop.entries[:, 0].copy()
+    power = A
     records: list[DispersiveRecord] = []
-    for N in N_list:
-        prop = build_propagator(A, N)
-        column = prop.entries[:, 0].copy()
-        power = A
-        for j in range(1, j_max + 1):
-            drift = abs(float(np.vdot(column, column).real) - 1.0)
+    for j in range(1, j_max + 1):
+        drift = abs(float(np.vdot(column, column).real) - 1.0)
+        try:
+            certify("dispersive power M^%d" % j, N, "column norm drift", drift, DRIFT_TOL)
+            if j == 1:
+                defect = intertwining_defect(prop)
+                certify("dispersive column", N, "intertwining defect", defect, DRIFT_TOL)
+        except CertificationError as exc:
+            records.append(DispersiveRecord(N=N, j=j, norm_1_inf=None, bound=None, error=str(exc)))
+            break
+        b_j = power.b
+        if b_j != 0:
             try:
-                certify("dispersive power M^%d" % j, N, "column norm drift", drift, DRIFT_TOL)
-                if j == 1:
-                    defect = intertwining_defect(prop)
-                    certify("dispersive column", N, "intertwining defect", defect, DRIFT_TOL)
-            except CertificationError as exc:
-                records.append(
-                    DispersiveRecord(N=N, j=j, norm_1_inf=None, bound=None, error=str(exc))
-                )
-                break
-            b_j = power.b
-            if b_j != 0:
-                try:
-                    bound = math.sqrt(abs(b_j) / N)
-                except OverflowError:
-                    bound = math.inf
-            else:
-                bound = None
-            records.append(
-                DispersiveRecord(N=N, j=j, norm_1_inf=float(np.abs(column).max()), bound=bound)
-            )
-            if j < j_max:
-                column = prop.entries @ column
-                power = power @ A
+                bound = math.sqrt(abs(b_j) / N)
+            except OverflowError:
+                bound = math.inf
+        else:
+            bound = None
+        records.append(
+            DispersiveRecord(N=N, j=j, norm_1_inf=float(np.abs(column).max()), bound=bound)
+        )
+        if j < j_max:
+            column = prop.entries @ column
+            power = power @ A
     return records
 
 

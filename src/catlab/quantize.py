@@ -28,7 +28,6 @@ __all__ = [
     "intertwining_defect",
     "write_matrix_csv",
     "write_matrix_binary",
-    "read_matrix_binary",
 ]
 
 MATRIX_MAGIC = b"CATM"
@@ -198,26 +197,3 @@ def write_matrix_binary(matrix: np.ndarray, fh: IO[bytes]) -> None:
         raise ValueError("binary dump expects a square matrix")
     fh.write(_HEADER.pack(MATRIX_MAGIC, n, 0))
     fh.write(memoryview(matrix).cast("B"))
-
-
-def read_matrix_binary(fh: IO[bytes]) -> np.ndarray:
-    """Read a matrix written by write_matrix_binary.
-
-    Raises ValueError on a bad magic, or on a header or payload whose
-    byte count is not the one the format and N fix.
-    """
-    header = fh.read(_HEADER.size)
-    if len(header) != _HEADER.size:
-        raise ValueError(
-            "matrix dump header has %d bytes, expected %d" % (len(header), _HEADER.size)
-        )
-    magic, n, _reserved = _HEADER.unpack(header)
-    if magic != MATRIX_MAGIC:
-        raise ValueError("bad magic %r in matrix dump" % magic)
-    payload = fh.read()
-    if len(payload) != 16 * n * n:
-        raise ValueError(
-            "matrix dump with N=%d has %d payload bytes, expected %d"
-            % (n, len(payload), 16 * n * n)
-        )
-    return np.frombuffer(payload, dtype="<c16").reshape(n, n).astype(np.complex128)

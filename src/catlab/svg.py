@@ -23,10 +23,23 @@ def _num(value: float) -> str:
     return format(value, ".2f")
 
 
+def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+    if hi <= lo:
+        return [lo]
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count)]
+
+
 class _Canvas:
-    """Linear data-to-pixel mapping plus an element buffer."""
+    """Linear data-to-pixel mapping plus an element buffer.
+
+    The ticks come from the data ranges as given; an empty range is
+    widened by one for the mapping only, and gets a single tick.
+    """
 
     def __init__(self, x_min, x_max, y_min, y_max):
+        self.x_ticks = _ticks(x_min, x_max)
+        self.y_ticks = _ticks(y_min, y_max)
         if x_max <= x_min:
             x_max = x_min + 1.0
         if y_max <= y_min:
@@ -67,21 +80,21 @@ class _Canvas:
             'text-anchor="%s">%s</text>' % (_num(x_px), _num(y_px), size, anchor, content)
         )
 
-    def axes(self, x_label: str, y_label: str, x_ticks: Sequence[float], y_ticks: Sequence[float]):
+    def axes(self, x_label: str, y_label: str):
         x0, x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
         y0, y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
         self.parts.append(
             '<path fill="none" stroke="black" stroke-width="1" d="M %s %s L %s %s L %s %s"/>'
             % (_num(x0), _num(y1), _num(x0), _num(y0), _num(x1), _num(y0))
         )
-        for tick in x_ticks:
+        for tick in self.x_ticks:
             px = self.x(tick)
             self.parts.append(
                 '<line stroke="black" stroke-width="1" x1="%s" y1="%s" x2="%s" y2="%s"/>'
                 % (_num(px), _num(y0), _num(px), _num(y0 + 5))
             )
             self.text(px, y0 + 20, format(tick, ".4g"), size=11)
-        for tick in y_ticks:
+        for tick in self.y_ticks:
             py = self.y(tick)
             self.parts.append(
                 '<line stroke="black" stroke-width="1" x1="%s" y1="%s" x2="%s" y2="%s"/>'
@@ -105,13 +118,6 @@ class _Canvas:
             fh.write(part)
             fh.write("\n")
         fh.write("</svg>\n")
-
-
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
 
 
 def render_scan_svg(records: Iterable, fh: IO[str]) -> None:
@@ -142,47 +148,28 @@ def render_scan_svg(records: Iterable, fh: IO[str]) -> None:
     for r in rows:
         if r.is_bdb:
             canvas.circle(r.N, r.max_supnorm, 4.5, "red")
-    canvas.axes(
-        "N",
-        "max sup norm",
-        _ticks(min(xs), max(xs)),
-        _ticks(0.0, 1.05 * max(finite)),
-    )
+    canvas.axes("N", "max sup norm")
     canvas.render(fh)
 
 
 def render_dispersive_svg(records: Iterable, fh: IO[str]) -> None:
-    """Power-norm decay curves per N with the dispersive bound overlay."""
-    rows = [r for r in records if r.error is None and r.norm_1_inf is not None]
+    """Power-norm decay curve of one N with the dispersive bound overlay."""
+    rows = sorted(
+        (r for r in records if r.error is None and r.norm_1_inf is not None),
+        key=lambda r: r.j,
+    )
     if not rows:
         raise ValueError("no plottable dispersive records")
-    values = [r.norm_1_inf for r in rows]
-    values += [r.bound for r in rows if r.bound is not None and math.isfinite(r.bound)]
-    canvas = _Canvas(
-        min(r.j for r in rows), max(r.j for r in rows), 0.0, 1.05 * max(values)
-    )
-    groups: dict[int, list] = {}
+    bound_points = [
+        (r.j, r.bound) for r in rows if r.bound is not None and math.isfinite(r.bound)
+    ]
+    top = 1.05 * max([r.norm_1_inf for r in rows] + [bound for _, bound in bound_points])
+    canvas = _Canvas(rows[0].j, rows[-1].j, 0.0, top)
+    canvas.polyline([(r.j, r.norm_1_inf) for r in rows], stroke="black")
     for r in rows:
-        groups.setdefault(r.N, []).append(r)
-    palette = ("black", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b")
-    for slot, n_value in enumerate(sorted(groups)):
-        group = sorted(groups[n_value], key=lambda r: r.j)
-        color = palette[slot % len(palette)]
-        canvas.polyline([(r.j, r.norm_1_inf) for r in group], stroke=color)
-        for r in group:
-            canvas.circle(r.j, r.norm_1_inf, 2.0, color)
-        bound_points = [
-            (r.j, r.bound)
-            for r in group
-            if r.bound is not None and math.isfinite(r.bound)
-        ]
-        canvas.polyline(bound_points, stroke="red", dash="6 3")
-    canvas.axes(
-        "j",
-        "power norm (max entry)",
-        _ticks(min(r.j for r in rows), max(r.j for r in rows)),
-        _ticks(0.0, 1.05 * max(values)),
-    )
+        canvas.circle(r.j, r.norm_1_inf, 2.0, "black")
+    canvas.polyline(bound_points, stroke="red", dash="6 3")
+    canvas.axes("j", "power norm (max entry)")
     canvas.render(fh)
 
 
@@ -195,10 +182,5 @@ def render_profile_svg(profile: Sequence[float], fh: IO[str]) -> None:
     canvas = _Canvas(0, max(len(values) - 1, 1), 0.0, top if top > 0 else 1.0)
     for i, v in enumerate(values):
         canvas.circle(i, v, 1.8, "black")
-    canvas.axes(
-        "coordinate",
-        "|u_i|",
-        _ticks(0, max(len(values) - 1, 1)),
-        _ticks(0.0, top if top > 0 else 1.0),
-    )
+    canvas.axes("coordinate", "|u_i|")
     canvas.render(fh)

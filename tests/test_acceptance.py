@@ -170,7 +170,7 @@ def test_criterion_6_upper_bound_surrogate(upper_surrogate_sweep):
 
 def test_criterion_7_dispersive_figure():
     with criterion(7, "dispersive power-norm bounds at N=855", 20.0):
-        records = dispersive_scan(A, [855], 50)
+        records = dispersive_scan(A, 855, 50)
         assert len(records) == 50
         for r in records:
             assert r.error is None

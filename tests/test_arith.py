@@ -425,12 +425,12 @@ CHECKS = [
         # The drift of the first column is exactly 0.0 at N=15.
         "dispersive power M^1", "column norm drift",
         lambda patch: patch.setattr(experiments, "DRIFT_TOL", -1.0),
-        lambda: experiments.dispersive_scan(A, [15], 3)[0].error,
+        lambda: experiments.dispersive_scan(A, 15, 3)[0].error,
     ),
     (
         "dispersive column", "intertwining defect",
         "perturbed_propagator",
-        lambda: experiments.dispersive_scan(A, [15], 3)[0].error,
+        lambda: experiments.dispersive_scan(A, 15, 3)[0].error,
     ),
 ]
 

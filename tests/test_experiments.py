@@ -328,7 +328,7 @@ class TestProfile:
 
 class TestDispersive:
     def test_scalar_power_at_period(self):
-        records = dispersive_scan(A, [5], 3)
+        records = dispersive_scan(A, 5, 3)
         assert [r.j for r in records] == [1, 2, 3]
         last = records[-1]
         # the third power is a unit scalar, so its largest entry is 1
@@ -336,34 +336,35 @@ class TestDispersive:
         assert all(r.error is None for r in records)
 
     def test_bounds_hold(self):
-        records = dispersive_scan(A, [15, 33], 12)
-        for r in records:
-            b_j = matrix_power(A, r.j).b
-            assert r.bound == pytest.approx(math.sqrt(abs(b_j) / r.N))
-            assert r.norm_1_inf <= r.bound + 1e-8
+        for N in (15, 33):
+            for r in dispersive_scan(A, N, 12):
+                b_j = matrix_power(A, r.j).b
+                assert r.bound == pytest.approx(math.sqrt(abs(b_j) / N))
+                assert r.norm_1_inf <= r.bound + 1e-8
 
     def test_rejects_even_or_empty(self):
         with pytest.raises(ValueError):
-            dispersive_scan(A, [4], 5)
+            dispersive_scan(A, 4, 5)
         with pytest.raises(ValueError):
-            dispersive_scan(A, [5], 0)
+            dispersive_scan(A, 5, 0)
 
     def test_validates_every_n_before_building(self, monkeypatch):
+        # even N raises before any build
         def unexpected_build(*args, **kwargs):
-            raise AssertionError("built a propagator before validating every N")
+            raise AssertionError("built a propagator before validating N")
 
         monkeypatch.setattr(experiments, "build_propagator", unexpected_build)
         with pytest.raises(ValueError, match="odd N, got 4"):
-            dispersive_scan(A, [401, 4], 40)
+            dispersive_scan(A, 4, 40)
 
     def test_drift_past_bound_ends_n_with_error_row(self, monkeypatch):
         # the first column's drift is exactly 0.0 at N=15, so only a
         # negative bound fails it
         monkeypatch.setattr(experiments, "DRIFT_TOL", -1.0)
-        records = dispersive_scan(A, [15, 17], 3)
-        assert [(r.N, r.j, r.norm_1_inf, r.bound) for r in records] == [
-            (15, 1, None, None),
-            (17, 1, None, None),
+        records = dispersive_scan(A, 15, 3)
+        assert [(r.N, r.j, r.norm_1_inf, r.bound) for r in records] == [(15, 1, None, None)]
+        assert [(r.N, r.j, r.norm_1_inf, r.bound) for r in dispersive_scan(A, 17, 3)] == [
+            (17, 1, None, None)
         ]
         assert re.fullmatch(
             r"dispersive power M\^1 at N=15: column norm drift 0\.0 exceeds -1\.0",
@@ -372,10 +373,10 @@ class TestDispersive:
         assert list(records[0].to_dict()) == [*DISPERSIVE_FIELDS, "error"]
 
     def test_intertwining_defect_ends_n_with_error_row(self, perturbed_propagator):
-        records = dispersive_scan(A, [15, 17], 3)
-        assert [(r.N, r.j, r.norm_1_inf, r.bound) for r in records] == [
-            (15, 1, None, None),
-            (17, 1, None, None),
+        records = dispersive_scan(A, 15, 3)
+        assert [(r.N, r.j, r.norm_1_inf, r.bound) for r in records] == [(15, 1, None, None)]
+        assert [(r.N, r.j, r.norm_1_inf, r.bound) for r in dispersive_scan(A, 17, 3)] == [
+            (17, 1, None, None)
         ]
         assert re.fullmatch(
             r"dispersive column at N=15: intertwining defect 0\.001\d* exceeds 1e-07",
@@ -385,7 +386,7 @@ class TestDispersive:
     @pytest.mark.parametrize("matrix", ORACLE_MAPS)
     @pytest.mark.parametrize("N", [15, 33, 101])
     def test_matches_dense_power_oracle(self, matrix, N):
-        records = dispersive_scan(matrix, [N], 12)
+        records = dispersive_scan(matrix, N, 12)
         dense = dense_power_norms(matrix, N, 12)
         assert [(r.N, r.j, r.bound, r.error) for r in records] == [
             (r.N, r.j, r.bound, r.error) for r in dense
@@ -399,12 +400,12 @@ class TestDispersive:
     def test_norm_is_sqrt_gcd_over_n(self, matrix):
         # the largest entry of M^j has modulus sqrt(gcd(b_j, N)/N), with
         # gcd(0, N) = N: sharper than the bound sqrt(|b_j|/N)
-        Ns = [101, 243, 625, 855]
-        records = dispersive_scan(matrix, Ns, 40)
-        assert [(r.N, r.j) for r in records] == [(N, j) for N in Ns for j in range(1, 41)]
-        for r in records:
-            exact = math.sqrt(math.gcd(matrix_power(matrix, r.j).b, r.N) / r.N)
-            assert r.norm_1_inf == pytest.approx(exact, rel=1e-12)
+        for N in (101, 243, 625, 855):
+            records = dispersive_scan(matrix, N, 40)
+            assert [(r.N, r.j) for r in records] == [(N, j) for j in range(1, 41)]
+            for r in records:
+                exact = math.sqrt(math.gcd(matrix_power(matrix, r.j).b, N) / N)
+                assert r.norm_1_inf == pytest.approx(exact, rel=1e-12)
 
 
 class TestVerifyBounds:
@@ -528,7 +529,7 @@ class TestSerialization:
             read_scan_csv(io.StringIO("\n".join(lines) + "\n"))
 
     def test_dispersive_csv(self):
-        records = dispersive_scan(A, [5], 2)
+        records = dispersive_scan(A, 5, 2)
         fh = io.StringIO()
         write_dispersive_csv(records, fh)
         lines = fh.getvalue().splitlines()

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -63,6 +64,35 @@ def test_certification_errors_raised_only_by_certify():
         and id(node) not in allowed
     ]
     assert found == [] and kinds == {"CertificationError"}
+
+
+def test_every_exception_class_has_an_exit_code():
+    # cli.main maps CertificationError to exit 4 and UsageError to exit 2;
+    # any other exception class would reach the user as a traceback with
+    # no exit code
+    classes = [
+        (path.stem, node)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    bases = {
+        name
+        for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    found = set()
+    while True:
+        new = {
+            (module, node.name)
+            for module, node in classes
+            if bases & {ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases}
+        } - found
+        if not new:
+            break
+        found |= new
+        bases |= {name for _, name in new}
+    assert found == {("arith", "CertificationError"), ("cli", "UsageError")}
 
 
 def test_every_export_resolves():
