@@ -269,6 +269,21 @@ def eigenfunction_profile(A: CatMatrix, N: int, allow_even: bool = False) -> np.
     return profile
 
 
+def _dispersive_bound(b: int, N: int) -> float:
+    """sqrt(b/N) for integers b, N >= 1, inf only past float range. Where
+    b/N is past it, r = isqrt(b // N) = floor(sqrt(b/N)) has over 500 bits,
+    and r | 1 if inexact (round to odd) rounds to the float sqrt(b/N) does.
+    """
+    try:
+        return math.sqrt(b / N)
+    except OverflowError:
+        root = math.isqrt(b // N)
+    try:
+        return float(root | (root * root * N != b))
+    except OverflowError:
+        return math.inf
+
+
 def dispersive_scan(A: CatMatrix, N: int, j_max: int) -> list[DispersiveRecord]:
     """Largest entry modulus of propagator powers M^j for 1 <= j <= j_max.
 
@@ -303,14 +318,7 @@ def dispersive_scan(A: CatMatrix, N: int, j_max: int) -> list[DispersiveRecord]:
         except CertificationError as exc:
             records.append(DispersiveRecord(N=N, j=j, norm_1_inf=None, bound=None, error=str(exc)))
             break
-        b_j = power.b
-        if b_j != 0:
-            try:
-                bound = math.sqrt(abs(b_j) / N)
-            except OverflowError:
-                bound = math.inf
-        else:
-            bound = None
+        bound = _dispersive_bound(abs(power.b), N) if power.b else None
         records.append(
             DispersiveRecord(N=N, j=j, norm_1_inf=float(np.abs(column).max()), bound=bound)
         )

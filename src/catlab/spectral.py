@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .arith import certify
-from .quantize import Propagator
+from .quantize import Propagator, _blocks
 
 __all__ = [
     "EigenCluster",
@@ -84,29 +85,33 @@ class SupnormResult(NamedTuple):
     cluster_dim: int
 
 
-def _as_matrix(M: Propagator | np.ndarray) -> tuple[np.ndarray, int]:
-    if isinstance(M, Propagator):
-        return M.entries, M.N
-    matrix = np.asarray(M, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("expected a square matrix")
-    return matrix, matrix.shape[0]
-
-
 def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     """Full eigensystem of a unitary with residual certification.
 
     Uses the complex Schur form, whose basis is orthonormal by
     construction; for a unitary input the Schur factor is diagonal to
-    machine precision, so its columns are eigenvectors. Raises
-    CertificationError when per-pair residuals exceed RESIDUAL_TOL*sqrt(N) or
-    any eigenvalue modulus strays from 1 by more than MODULUS_TOL; scipy's
-    LinAlgError propagates on solver non-convergence.
+    machine precision, so its columns are eigenvectors. LAPACK's zgees
+    overwrites one Fortran-order copy with T (scipy.linalg.schur's bits)
+    and the residuals run over column blocks: with the caller's matrix,
+    three N x N arrays at most. Raises ValueError on a non-finite matrix,
+    LinAlgError when zgees fails, and CertificationError when per-pair
+    residuals exceed RESIDUAL_TOL*sqrt(N) or any eigenvalue modulus
+    strays from 1 by more than MODULUS_TOL.
     """
     # imported here: it costs ~0.3 s per process, paid only by eigensolving commands
-    import scipy.linalg
-    matrix, n = _as_matrix(M)
-    T, Z = scipy.linalg.schur(matrix, output="complex")
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    matrix = M.entries if isinstance(M, Propagator) else np.asarray(M, dtype=np.complex128)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("expected a square matrix")
+    n = matrix.shape[0]
+    # scipy.linalg.schur's finite check, then the one copy zgees overwrites
+    T = Z = np.array(np.asarray_chkfinite(matrix), order="F")
+    if n:  # zgees rejects an empty matrix, its own Schur form
+        gees = partial(get_lapack_funcs("gees", (T,)), lambda value: None, overwrite_a=True)
+        T, _, _, Z, _, info = gees(T, lwork=int(gees(T, lwork=-1)[-2][0].real))
+        if info != 0:
+            raise np.linalg.LinAlgError("Schur form not found at N=%d: zgees info %d" % (n, info))
     values = np.diag(T).copy()
     del T
     phases = np.mod(np.angle(values), TWO_PI)
@@ -115,9 +120,11 @@ def eigendecompose(M: Propagator | np.ndarray) -> SpectrumReport:
     vectors = Z[:, order]
     del Z
 
-    residual = matrix @ vectors
-    residual -= vectors * values[None, :]
-    residuals = np.linalg.norm(residual, axis=0)
+    residuals = np.empty(n)
+    for cols in _blocks(n):
+        residual = matrix @ vectors[:, cols]
+        residual -= vectors[:, cols] * values[cols]
+        residuals[cols] = np.linalg.norm(residual, axis=0)
     worst = float(residuals.max(initial=0.0))
     certify("eigensolve", n, "eigenpair residual", worst, RESIDUAL_TOL * math.sqrt(n))
     stray = float(np.abs(np.abs(values) - 1).max(initial=0.0))

@@ -5,7 +5,8 @@ interpreter, scan stages patched inside scan worker processes, and the
 dense oracles the library's fast paths are checked against: translation
 matrices, the Egorov defect, dense propagator powers, the dense scalar
 power M^n, phase-gap clustering, the table of distances to the roots of
-M^n, and the averaging operator."""
+M^n, the averaging operator, and the full products and scipy Schur form
+that the blocked certificates and the direct zgees call replace."""
 
 import dataclasses
 import math
@@ -140,6 +141,48 @@ def table_snap(phases: np.ndarray, phi: float, n: int) -> tuple[np.ndarray, floa
     dist = np.mod(roots[None, :] - phases[:, None], TWO_PI)
     dist = np.minimum(dist, TWO_PI - dist)
     return np.argmin(dist, axis=1), float(dist.min(axis=1).max())
+
+
+def dense_unitarity_residual(M: np.ndarray) -> float:
+    """max |M^H M - I| from the full product: the oracle for the blocked
+    unitarity certificate of quantize.build_propagator."""
+    return float(np.abs(M.conj().T @ M - np.eye(len(M))).max())
+
+
+def schur_eigensystem(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors, residual column norms) in phase order
+    from scipy.linalg.schur and the full product M V - V Lambda: the
+    oracle for spectral.eigendecompose."""
+    import scipy.linalg
+
+    T, Z = scipy.linalg.schur(M, output="complex")
+    values = np.diag(T).copy()
+    order = np.argsort(np.mod(np.angle(values), TWO_PI), kind="stable")
+    values, vectors = values[order], Z[:, order]
+    residual = M @ vectors - vectors * values[None, :]
+    return values, vectors, np.linalg.norm(residual, axis=0)
+
+
+def _bits(x) -> list[int]:
+    return np.ascontiguousarray(x).view(np.uint64).ravel().tolist()
+
+
+def blocked_bits_differ(case: tuple[tuple[int, int, int, int], int]) -> list[str]:
+    """Names of the outputs of build_propagator and eigendecompose at one
+    (map, N) whose bits differ from the full-product oracles. Run it in a
+    process_map worker: a GEMM split over several BLAS threads may round
+    differently from the same GEMM on one, so bits compare on one thread."""
+    entries, N = case
+    prop = build_propagator(CatMatrix(*entries), N)
+    report = spectral.eigendecompose(prop)
+    values, vectors, residuals = schur_eigensystem(prop.entries)
+    pairs = {
+        "unitarity_residual": (prop.unitarity_residual, dense_unitarity_residual(prop.entries)),
+        "eigenvalues": (report.eigenvalues, values),
+        "eigenvectors": (report.eigenvectors, vectors),
+        "residuals": (report.residuals, residuals),
+    }
+    return [name for name, (fast, oracle) in pairs.items() if _bits(fast) != _bits(oracle)]
 
 
 def dense_power_norms(A: CatMatrix, N: int, jmax: int) -> list[DispersiveRecord]:
@@ -313,6 +356,26 @@ def perturbed_propagator(monkeypatch):
         return dataclasses.replace(prop, entries=entries)
 
     monkeypatch.setattr(experiments, "build_propagator", perturbed)
+
+
+@pytest.fixture
+def failing_zgees(monkeypatch):
+    """LAPACK's zgees answers its workspace query, then reports info 1,
+    a Schur form that did not converge."""
+    import scipy.linalg.lapack
+
+    real = scipy.linalg.lapack.get_lapack_funcs
+
+    def get_lapack_funcs(names, arrays):
+        gees = real(names, arrays)
+
+        def failing(select, a, lwork, **kwargs):
+            result = gees(select, a, lwork=lwork, **kwargs)
+            return result if lwork == -1 else (*result[:-1], 1)
+
+        return failing
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get_lapack_funcs)
 
 
 # Scan workers are forked from a preloaded server, an interpreter of its

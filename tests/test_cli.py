@@ -712,7 +712,7 @@ class TestTableFormat:
         "argv, fields",
         [
             (["scan", "--n-min", "1", "--n-max", "3"], experiments.SCAN_FIELDS),
-            (["dispersive", "--n", "5", "--jmax", "600"], experiments.DISPERSIVE_FIELDS),
+            (["dispersive", "--n", "5", "--jmax", "1080"], experiments.DISPERSIVE_FIELDS),
         ],
     )
     def test_non_finite_floats(self, capsys, argv, fields):

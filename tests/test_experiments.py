@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,13 @@ class TestScan:
         assert records[0].max_supnorm is None
         assert records[0].N == 5
 
+    def test_schur_failure_error_row(self, failing_zgees):
+        records = scan_supnorms(A, 5, 7)
+        assert [(r.N, r.error) for r in records] == [
+            (N, "Schur form not found at N=%d: zgees info 1" % N) for N in (5, 7)
+        ]
+        assert all(r.max_supnorm is None for r in records)
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bug in a stage")
@@ -341,6 +349,21 @@ class TestDispersive:
                 b_j = matrix_power(A, r.j).b
                 assert r.bound == pytest.approx(math.sqrt(abs(b_j) / N))
                 assert r.norm_1_inf <= r.bound + 1e-8
+
+    def test_bounds_past_float_range_are_rounded_square_roots(self):
+        # j = 541..1079 at N=5: |b_j|/N is past float range, sqrt(|b_j|/N)
+        # is not until j = 1080; Fractions give the exact neighbourhood
+        # of the nearest double
+        for r in dispersive_scan(A, 5, 1080):
+            q = Fraction(abs(matrix_power(A, r.j).b), 5)
+            if q <= sys.float_info.max:
+                assert r.bound == math.sqrt(float(q))
+            elif math.isinf(r.bound):
+                assert q > Fraction(sys.float_info.max) ** 2 and r.j == 1080
+            else:
+                below, above = (Fraction(math.nextafter(r.bound, t)) for t in (0, math.inf))
+                x = Fraction(r.bound)
+                assert ((x + below) / 2) ** 2 < q < ((x + above) / 2) ** 2
 
     def test_rejects_even_or_empty(self):
         with pytest.raises(ValueError):

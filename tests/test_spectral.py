@@ -1,14 +1,15 @@
 """Spectral module tests: certified eigensystems, clustering, sup norms."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from catlab import arith, spectral
+from catlab import arith, quantize, spectral
 from catlab.arith import CatMatrix, CertificationError, quantum_period
-from catlab.experiments import clustered_spectrum
+from catlab.experiments import clustered_spectrum, process_map
 from catlab.quantize import build_propagator
 from catlab.spectral import (
     EigenCluster,
@@ -21,6 +22,7 @@ from catlab.spectral import (
 )
 from conftest import (
     averaging_operator,
+    blocked_bits_differ,
     dense_scalar_residual,
     gap_clusters,
     op_norm_1_inf,
@@ -115,6 +117,70 @@ class TestEigendecompose:
         match = r"^eigensolve at N=2: eigenpair residual 1\.0 exceeds 1\.4142135623730952e-08$"
         with pytest.raises(CertificationError, match=match):
             eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_empty_matrix(self):
+        report = eigendecompose(np.zeros((0, 0)))
+        assert report.N == 0 and report.eigenvectors.shape == (0, 0)
+
+    def test_rejects_non_finite_matrix(self):
+        matrix = np.eye(3, dtype=np.complex128)
+        matrix[1, 2] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigendecompose(matrix)
+
+    def test_zgees_failure_raises_linalg_error(self, prop5, failing_zgees):
+        with pytest.raises(np.linalg.LinAlgError, match=r"^Schur form not found at N=5: zgees info 1$"):
+            eigendecompose(prop5)
+
+
+class TestBlockedProducts:
+    def test_blocks_start_at_multiples_of_128_without_one_wide_tail(self):
+        for n in (0, 1, 2, 127, 128, 129, 130, 256, 257, 258, 989):
+            blocks = quantize._blocks(n)
+            assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+            assert all(b.start % 128 == 0 for b in blocks)
+            assert all(b.stop - b.start >= 2 for b in blocks) or n == 1
+
+    def test_bits_match_full_products(self):
+        # N across the block edges, the tie N of the scan maps and one
+        # |b| = 45 map; compared on one BLAS thread in pool workers
+        cases = [((2, 3, 1, 2), N) for N in (1, 3, 127, 129, 255, 257, 259, 385)]
+        cases += [(m, N) for m in TRACE4_B3 for N in (15, 39, 65, 165, 195)]
+        cases += [((26, 45, 15, 26), 259)]
+        assert process_map(blocked_bits_differ, cases, 2) == [[]] * len(cases)
+
+
+def _peak_footprint(call) -> float:
+    """Peak of traced allocations during call(), in N x N complex arrays
+    of the call's N; the caller's arrays made before it do not count."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        n = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / (16 * n * n)
+
+
+class TestMemoryFootprint:
+    # a build holds its result and one block's scratch; an eigensolve,
+    # with the caller's matrix, three N x N arrays: the matrix, T and Z
+    N = 401
+
+    def test_build(self):
+        assert _peak_footprint(lambda: build_propagator(A, self.N).N) <= 2.5
+
+    def test_eigendecompose_with_matrix_held(self):
+        eigendecompose(np.eye(2))  # the scipy import is not the footprint
+        held = []
+
+        def call():
+            held.append(build_propagator(A, self.N))
+            tracemalloc.reset_peak()
+            return eigendecompose(held[0]).N
+
+        assert _peak_footprint(call) <= 3.25
 
 
 class TestClustering:
