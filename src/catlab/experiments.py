@@ -152,17 +152,17 @@ def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[
     """list(map(fn, items)), on `jobs` worker processes when jobs > 1.
 
     Workers fork from multiprocessing's forkserver (so jobs > 1 needs
-    POSIX), preloaded with catlab and scipy.linalg, so no pool pays those
-    imports again. The first pool of a process starts the server (about
-    0.45 s) while OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-    MKL_NUM_THREADS read 1, so its BLAS loads with one thread, and the
-    server keeps that environment; os.environ is restored afterwards. The
-    preload replaces the process's forkserver preload list. Workers of a
-    server started earlier without the pin fail their initializer, and
-    the pool raises BrokenProcessPool. fn and the items must pickle (a
-    module-level function or a partial of one). Results come back in
-    item order; an exception raised by fn propagates. jobs == 1 runs in
-    this process.
+    POSIX), preloaded with catlab, numpy and the worker loop. The first
+    pool of a process starts the server (about 0.25 s) while
+    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS read 1, so
+    its BLAS loads with one thread, and the server keeps that environment;
+    os.environ is restored afterwards. A worker loads zgees and SciPy's
+    BLAS at its first Schur form (spectral._zgees, 15 ms). The preload
+    replaces the process's forkserver preload list. Workers of a server
+    started earlier without the pin fail their initializer, and the pool
+    raises BrokenProcessPool. fn and the items must pickle (a module-level
+    function or a partial of one). Results come back in item order; an
+    exception raised by fn propagates. jobs == 1 runs in this process.
     """
     items = list(items)
     if jobs == 1 or len(items) <= 1:
@@ -171,7 +171,7 @@ def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[
     from concurrent.futures import ProcessPoolExecutor
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload(["catlab.experiments", "scipy.linalg"])
+    context.set_forkserver_preload(["catlab.experiments", "concurrent.futures.process"])
     with ProcessPoolExecutor(max_workers=min(jobs, len(items)), mp_context=context,
                              initializer=_check_blas_pin) as pool:
         try:

@@ -169,9 +169,11 @@ def _bits(x) -> list[int]:
 
 def blocked_bits_differ(case: tuple[tuple[int, int, int, int], int]) -> list[str]:
     """Names of the outputs of build_propagator and eigendecompose at one
-    (map, N) whose bits differ from the full-product oracles. Run it in a
-    process_map worker: a GEMM split over several BLAS threads may round
-    differently from the same GEMM on one, so bits compare on one thread."""
+    (map, N) whose bits differ from the full-product oracles; the Schur
+    oracle runs SciPy's own zgees, not the one spectral._zgees loads from
+    the same file. Run it in a process_map worker: a GEMM split over
+    several BLAS threads may round differently from the same GEMM on
+    one, so bits compare on one thread."""
     entries, N = case
     prop = build_propagator(CatMatrix(*entries), N)
     report = spectral.eigendecompose(prop)
@@ -183,6 +185,25 @@ def blocked_bits_differ(case: tuple[tuple[int, int, int, int], int]) -> list[str
         "residuals": (report.residuals, residuals),
     }
     return [name for name, (fast, oracle) in pairs.items() if _bits(fast) != _bits(oracle)]
+
+
+def snapped_spectrum(case: tuple[tuple[int, int, int, int], int, bool]):
+    """experiments.clustered_spectrum's (record, report) at one (map, N,
+    allow_even), plus the largest snap distance cluster_eigenvalues
+    certified. Module level, so process_map workers can run it; it
+    patches spectral.certify in its own process."""
+    entries, N, allow_even = case
+    snaps = []
+
+    def recording(stage, dim, check, value, bound):
+        if check == "largest snap distance":
+            snaps.append(value)
+        certify(stage, dim, check, value, bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "certify", recording)
+        record, report = experiments.clustered_spectrum(CatMatrix(*entries), N, allow_even)
+    return record, report, snaps[-1]
 
 
 def dense_power_norms(A: CatMatrix, N: int, jmax: int) -> list[DispersiveRecord]:
@@ -362,20 +383,13 @@ def perturbed_propagator(monkeypatch):
 def failing_zgees(monkeypatch):
     """LAPACK's zgees answers its workspace query, then reports info 1,
     a Schur form that did not converge."""
-    import scipy.linalg.lapack
+    real = spectral._zgees()
 
-    real = scipy.linalg.lapack.get_lapack_funcs
+    def failing(select, a, lwork, **kwargs):
+        result = real(select, a, lwork=lwork, **kwargs)
+        return result if lwork == -1 else (*result[:-1], 1)
 
-    def get_lapack_funcs(names, arrays):
-        gees = real(names, arrays)
-
-        def failing(select, a, lwork, **kwargs):
-            result = gees(select, a, lwork=lwork, **kwargs)
-            return result if lwork == -1 else (*result[:-1], 1)
-
-        return failing
-
-    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get_lapack_funcs)
+    monkeypatch.setattr(spectral, "_zgees", lambda: failing)
 
 
 # Scan workers are forked from a preloaded server, an interpreter of its

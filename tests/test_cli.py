@@ -618,7 +618,7 @@ _IMPORT_PROBE = """
 import json, sys
 import catlab, catlab.arith, catlab.cli
 from catlab.cli import main
-lazy = ("numpy", "scipy.linalg", "concurrent.futures.process")
+lazy = ("numpy", "scipy", "scipy.linalg", "concurrent.futures.process")
 print(json.dumps(["import", None, [m for m in lazy if m in sys.modules]]))
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
@@ -629,8 +629,9 @@ for argv in json.loads(sys.argv[1]):
 class TestImportBoundary:
     def test_only_eigensolving_commands_load_scipy(self, capsys, tmp_path, cli_module_args):
         # importing numpy costs about 0.1 s per process and scipy.linalg
-        # about 0.3 s; the integer commands load neither, and commands
-        # that take no Schur form do not load SciPy nor start a worker pool
+        # about 0.25 s; the integer commands load neither, commands that
+        # take no Schur form do not load SciPy nor start a worker pool, and
+        # those that do load SciPy's LAPACK extension but not scipy.linalg
         records = tmp_path / "scan.csv"
         assert run(capsys, "scan", "--n-min", "3", "--n-max", "21", "--out", str(records))[0] == 0
         out = str(tmp_path / "out")
@@ -642,6 +643,8 @@ class TestImportBoundary:
             ["propagator", "--n", "9", "--format", "binary", "--out", out],
             ["verify", "--records", str(records), "--out", out],
             ["spectrum", "--n", "9", "--out", out],
+            ["profile", "--n", "9", "--out", out],
+            ["scan", "--n-min", "3", "--n-max", "9", "--jobs", "1", "--out", out],
         ]
         command = cli_module_args()
         command["args"] = [sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)]
@@ -651,8 +654,8 @@ class TestImportBoundary:
         assert loaded == (
             [["import", None, []]]
             + [[argv[0], 0, []] for argv in calls[:3]]
-            + [[argv[0], 0, ["numpy"]] for argv in calls[3:-1]]
-            + [["spectrum", 0, ["numpy", "scipy.linalg"]]]
+            + [[argv[0], 0, ["numpy"]] for argv in calls[3:6]]
+            + [[argv[0], 0, ["numpy", "scipy"]] for argv in calls[6:]]
         )
 
 

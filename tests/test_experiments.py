@@ -60,13 +60,19 @@ ORACLE_MAPS = [
 
 
 def _worker_probe(_item):
-    """What a pool worker reports: its pid, its parent's pid, whether
-    SciPy was loaded before its item, and its BLAS thread pin."""
+    """What a pool worker reports: its pid, its parent's pid, whether it
+    held catlab.experiments before it imported this module, whether it
+    holds scipy.linalg after a Schur form, its BLAS thread pin, and the
+    bytes of the eigensystem of A at the tie N=15."""
+    modules = list(sys.modules)  # in import order
+    report = eigendecompose(build_propagator(A, 15))
     return (
         os.getpid(),
         os.getppid(),
+        modules.index("catlab.experiments") < modules.index(__name__),
         "scipy.linalg" in sys.modules,
         os.environ.get("OPENBLAS_NUM_THREADS"),
+        report.eigenvalues.tobytes() + report.eigenvectors.tobytes(),
     )
 
 
@@ -235,14 +241,16 @@ class TestScan:
 
     def test_workers_start_warm_and_pinned(self, monkeypatch):
         # the parent's own BLAS pin is 3; every pool forks its workers
-        # from one server that already holds SciPy and a pin of 1
+        # from one server that already holds catlab and a pin of 1, and a
+        # worker takes its Schur forms without loading scipy.linalg
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         first = process_map(_worker_probe, range(4), jobs=2)
         second = process_map(_worker_probe, range(4), jobs=2)
         assert all(pid != os.getpid() for pid, *_ in first + second)
         servers = {ppid for _, ppid, *_ in first + second}
         assert len(servers) == 1 and os.getpid() not in servers
-        assert [(loaded, pin) for _, _, loaded, pin in second] == [(True, "1")] * 4
+        assert [probe[2:5] for probe in second] == [(True, False, "1")] * 4
+        assert [probe[5] for probe in second] == [_worker_probe(None)[5]] * 4
 
     def test_no_worker_or_server_outlives_its_caller(self):
         done = _run_python(

@@ -27,6 +27,7 @@ from conftest import (
     gap_clusters,
     op_norm_1_inf,
     op_norm_2_inf,
+    snapped_spectrum,
     table_snap,
 )
 
@@ -131,6 +132,17 @@ class TestEigendecompose:
     def test_zgees_failure_raises_linalg_error(self, prop5, failing_zgees):
         with pytest.raises(np.linalg.LinAlgError, match=r"^Schur form not found at N=5: zgees info 1$"):
             eigendecompose(prop5)
+
+    def test_missing_lapack_extension_raises_import_error(self, monkeypatch, tmp_path):
+        import scipy
+
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        spectral._zgees.cache_clear()
+        try:
+            with pytest.raises(ImportError, match="_flapack is missing"):
+                spectral._zgees()
+        finally:
+            spectral._zgees.cache_clear()
 
 
 class TestBlockedProducts:
@@ -314,17 +326,10 @@ ORACLE_SWEEPS = [(m, range(3, 202, 2), False) for m in TRACE4_B3 + ((4, 3, 5, 4)
 
 class TestClusteringOracles:
     @pytest.mark.parametrize("entries, values, allow_even", ORACLE_SWEEPS)
-    def test_snap_matches_gap_and_table_oracles(self, monkeypatch, entries, values, allow_even):
-        snaps = []
-
-        def recording(stage, dim, check, value, bound):
-            if check == "largest snap distance":
-                snaps.append(value)
-            arith.certify(stage, dim, check, value, bound)
-
-        monkeypatch.setattr(spectral, "certify", recording)
-        for N in values:
-            record, report = clustered_spectrum(CatMatrix(*entries), N, allow_even)
+    def test_snap_matches_gap_and_table_oracles(self, entries, values, allow_even):
+        cases = [(entries, N, allow_even) for N in values]
+        for record, report, certified_snap in process_map(snapped_spectrum, cases, 2):
+            N = record.N
             # gap oracle: the same member sets, at phases within CLUSTER_TOL
             gap_phase = {frozenset(c.indices): c.phase for c in gap_clusters(report).clusters}
             assert {frozenset(c.indices) for c in report.clusters} == set(gap_phase), N
@@ -337,7 +342,7 @@ class TestClusteringOracles:
             n = record.n_N
             phases = np.mod(np.angle(report.eigenvalues), 2 * np.pi)
             nearest, snap = table_snap(phases, report.global_phase, n)
-            assert snaps[-1] == snap, N
+            assert certified_snap == snap, N
             roots = np.mod((report.global_phase + 2 * np.pi * np.arange(n)) / n, 2 * np.pi)
             for cluster in report.clusters:
                 ks = set(nearest[list(cluster.indices)].tolist())
