@@ -43,9 +43,9 @@ FORMATS = ("csv", "json", "binary")
 
 # dest: (type, default, help) of every flag, which is also its config key.
 # The matrix entries are -a..-d, every other flag is -- and its dest with
-# - for _; --format takes FORMATS, and the bool flag is store_const True.
-# A config value must have the type (a float takes an int, no int takes a
-# bool), or be null where the default is None.
+# - for _; --format takes FORMATS. A config value must have the type (a
+# float takes an int, no int takes a bool), or be null where the default
+# is None.
 FLAGS = {
     "a": (int, 2, "matrix entry a"),
     "b": (int, 3, "matrix entry b"),
@@ -61,7 +61,6 @@ FLAGS = {
     "out": (str, None, "output path (default: stdout)"),
     "svg": (str, None, "also render an SVG plot to this path"),
     "records": (str, None, "scan CSV to verify instead of rescanning"),
-    "allow_even_n": (bool, False, "allow even dimensions (exploration only)"),
     "jobs": (int, 1, "worker processes for scans, one BLAS thread each"),
 }
 # Flags every command takes, after --config and before its own.
@@ -79,7 +78,7 @@ def _check_config_value(dest: str, value):
     if default is None:
         allowed += (type(None),)
         name += " | None"
-    if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+    if not isinstance(value, allowed) or isinstance(value, bool):
         raise UsageError("config key %s must be %s, got %s" % (dest, name, json.dumps(value)))
     return value
 
@@ -225,7 +224,7 @@ def cmd_propagator(cfg: argparse.Namespace) -> int:
     from . import quantize
 
     n = _require_n(cfg)
-    prop = quantize.build_propagator(_matrix(cfg), n, allow_even=cfg.allow_even_n)
+    prop = quantize.build_propagator(_matrix(cfg), n)
     if cfg.format == "binary":
         with open(cfg.out, "wb") as fh:
             quantize.write_matrix_binary(prop.entries, fh)
@@ -247,7 +246,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     from . import experiments, spectral
 
     n = _require_n(cfg)
-    _, report = experiments.clustered_spectrum(_matrix(cfg), n, cfg.allow_even_n)
+    _, report = experiments.clustered_spectrum(_matrix(cfg), n)
     payload = spectral.report_to_dict(report)
     clusters = payload["clusters"]
     cluster_of = {i: cid for cid, c in enumerate(clusters) for i in c["indices"]}
@@ -273,9 +272,7 @@ def _scan(cfg: argparse.Namespace) -> list:
     """Scan and report failed records before any later step can fail."""
     from . import experiments
 
-    records = experiments.scan_supnorms(
-        _matrix(cfg), cfg.n_min, cfg.n_max, jobs=cfg.jobs, allow_even=cfg.allow_even_n
-    )
+    records = experiments.scan_supnorms(_matrix(cfg), cfg.n_min, cfg.n_max, jobs=cfg.jobs)
     _warn_errors(records)
     return records
 
@@ -294,7 +291,7 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
     from . import experiments
 
     n = _require_n(cfg)
-    profile = experiments.eigenfunction_profile(_matrix(cfg), n, allow_even=cfg.allow_even_n)
+    profile = experiments.eigenfunction_profile(_matrix(cfg), n)
     payload = [{"i": i, "abs_u_i": float(v)} for i, v in enumerate(profile)]
     _emit(cfg, payload, lambda fh: experiments.write_profile_csv(profile, fh))
     _write_svg(cfg, lambda fh: svg.render_profile_svg(profile, fh))
@@ -317,18 +314,14 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     """Check the envelope bounds on a rescan, or on --records.
 
     With --records, --n-min/--n-max set on the command line select the
-    rows read, and the flags that only steer the rescan it replaces
-    (--allow-even-n, --jobs) are a usage error; config-file values of
-    those four keys are ignored.
+    rows read, and --jobs, which only steers the rescan it replaces, is a
+    usage error; config-file values of those three keys are ignored.
     """
     from . import experiments
 
     if cfg.records:
-        clash = [_option(f) for f in ("allow_even_n", "jobs") if f in cfg.given]
-        if clash:
-            raise UsageError(
-                "--records replaces the rescan that %s would steer" % ", ".join(clash)
-            )
+        if "jobs" in cfg.given:
+            raise UsageError("--records replaces the rescan that --jobs would steer")
         with open(cfg.records, "r", encoding="utf-8") as fh:
             records = [
                 r
@@ -351,14 +344,14 @@ COMMANDS = (
     ("classify", "classify a matrix", (), cmd_classify),
     ("sequence", "short-period modulus sequence", ("count",), cmd_sequence),
     ("period", "quantum period of one N", ("n",), cmd_period),
-    ("propagator", "dump one propagator", ("n", "allow_even_n"), cmd_propagator),
-    ("spectrum", "clustered eigensystem", ("n", "allow_even_n"), cmd_spectrum),
-    ("scan", "sup-norm sweep over N", ("n_min", "n_max", "svg", "allow_even_n", "jobs"), cmd_scan),
-    ("profile", "witness eigenfunction", ("n", "svg", "allow_even_n"), cmd_profile),
+    ("propagator", "dump one propagator", ("n",), cmd_propagator),
+    ("spectrum", "clustered eigensystem", ("n",), cmd_spectrum),
+    ("scan", "sup-norm sweep over N", ("n_min", "n_max", "svg", "jobs"), cmd_scan),
+    ("profile", "witness eigenfunction", ("n", "svg"), cmd_profile),
     ("dispersive", "power-norm decay", ("n", "jmax", "svg"), cmd_dispersive),
     (
         "verify", "check envelope bounds",
-        ("n_min", "n_max", "epsilon", "records", "allow_even_n", "jobs"), cmd_verify,
+        ("n_min", "n_max", "epsilon", "records", "jobs"), cmd_verify,
     ),
 )
 
@@ -391,11 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--config", help="flat JSON config file")
         for dest in (*_COMMON, *flags):
             kind, _, flag_help = FLAGS[dest]
-            if kind is bool:
-                kwargs = {"action": "store_const", "const": True}
-            else:
-                kwargs = {"type": kind, "choices": FORMATS if dest == "format" else None}
-            command.add_argument(_option(dest), dest=dest, help=flag_help, **kwargs)
+            command.add_argument(
+                _option(dest), dest=dest, type=kind, help=flag_help,
+                choices=FORMATS if dest == "format" else None,
+            )
     return parser
 
 

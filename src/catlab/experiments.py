@@ -119,17 +119,13 @@ def _envelopes(N: int, lam: float) -> tuple[float, float, float]:
     return (2.0 * log_lam) ** -0.5, log_lam ** -0.5, trivial
 
 
-def clustered_spectrum(
-    A: CatMatrix,
-    N: int,
-    allow_even: bool = False,
-) -> tuple[PeriodRecord, SpectrumReport]:
+def clustered_spectrum(A: CatMatrix, N: int) -> tuple[PeriodRecord, SpectrumReport]:
     """The per-N pipeline: quantum period, certified propagator, certified
     eigensystem, clusters snapped to the n_N-th roots of the certified
     scalar M^n_N (see cluster_eigenvalues).
     """
     record = quantum_period(A, N)
-    prop = build_propagator(A, N, allow_even=allow_even)
+    prop = build_propagator(A, N)
     report = cluster_eigenvalues(eigendecompose(prop), record.n_N)
     return record, report
 
@@ -196,9 +192,9 @@ _ROW_ERRORS = (ValueError, CertificationError)
 DRIFT_TOL = 1e-7
 
 
-def _scan_single(A: CatMatrix, blank: ScanRecord, allow_even: bool) -> ScanRecord:
+def _scan_single(A: CatMatrix, blank: ScanRecord) -> ScanRecord:
     try:
-        record, report = clustered_spectrum(A, blank.N, allow_even)
+        record, report = clustered_spectrum(A, blank.N)
         result = supnorm_summary(report)
     except _ROW_ERRORS as exc:
         return replace(blank, error=str(exc))
@@ -211,15 +207,8 @@ def _scan_single(A: CatMatrix, blank: ScanRecord, allow_even: bool) -> ScanRecor
     )
 
 
-def scan_supnorms(
-    A: CatMatrix,
-    n_min: int,
-    n_max: int,
-    jobs: int = 1,
-    allow_even: bool = False,
-) -> list[ScanRecord]:
-    """Sup-norm sweep over N in [n_min, n_max]: odd N, or every N with
-    allow_even.
+def scan_supnorms(A: CatMatrix, n_min: int, n_max: int, jobs: int = 1) -> list[ScanRecord]:
+    """Sup-norm sweep over the odd N in [n_min, n_max].
 
     One record per N, ordered by N; domain and certification failures
     of one N become error rows. is_bdb marks the short-period moduli
@@ -244,24 +233,23 @@ def scan_supnorms(
     if jobs < 1:
         raise ValueError("jobs must be positive")
     lam = report.lam
-    values = [N for N in range(n_min, n_max + 1) if N % 2 == 1 or allow_even]
+    values = range(n_min | 1, n_max + 1, 2)  # n_min | 1 is the least odd N >= n_min
     bdb = dict(short_period_moduli(A, n_max)) if report.short_period_eligible else {}
 
     blanks = [
         ScanRecord(N, None, None, *_envelopes(N, lam), N in bdb, None, None)
         for N in values
     ]
-    work = partial(_scan_single, A, allow_even=allow_even)
-    return process_map(work, blanks, jobs)
+    return process_map(partial(_scan_single, A), blanks, jobs)
 
 
-def eigenfunction_profile(A: CatMatrix, N: int, allow_even: bool = False) -> np.ndarray:
+def eigenfunction_profile(A: CatMatrix, N: int) -> np.ndarray:
     """Coordinate moduli |u_i| of a maximal-sup-norm witness eigenfunction.
 
     Raises CertificationError when the witness's squared l2 norm is off
     1 by more than 1e-10.
     """
-    _, report = clustered_spectrum(A, N, allow_even)
+    _, report = clustered_spectrum(A, N)
     result = supnorm_summary(report)
     profile = np.abs(result.witness)
     drift = abs(float(np.sum(profile**2)) - 1.0)
@@ -297,13 +285,11 @@ def dispersive_scan(A: CatMatrix, N: int, j_max: int) -> list[DispersiveRecord]:
     of M within DRIFT_TOL. A failed check ends the records with an error
     row. The comparison bound sqrt(|b_j|/N) comes from the exact integer
     power A^j, a running product, keeping the two sides of the check
-    independent. N is validated before the propagator is built.
+    independent.
     """
     require_quantizable(A)
     if j_max < 1:
         raise ValueError("j_max must be positive, got %d" % j_max)
-    if N % 2 == 0:
-        raise ValueError("dispersive scan expects odd N, got %d" % N)
     prop = build_propagator(A, N)
     column = prop.entries[:, 0].copy()
     power = A

@@ -75,7 +75,7 @@ def _phase_grid(numerators: np.ndarray, L: int) -> np.ndarray:
     return np.exp((2j * np.pi / L) * reduced)
 
 
-def build_propagator(A: CatMatrix, N: int, allow_even: bool = False) -> Propagator:
+def build_propagator(A: CatMatrix, N: int) -> Propagator:
     """Propagator matrix of the map A at dimension N.
 
     entries[k, j] = (N|b|)^(-1/2) * sum over r < |b| of
@@ -93,20 +93,20 @@ def build_propagator(A: CatMatrix, N: int, allow_even: bool = False) -> Propagat
     scratch array.
 
     The result is certified unitary (max-norm residual <= UNITARITY_TOL *
-    sqrt(N)), and for odd N every entry is checked against the dispersive
-    bound sqrt(|b|/N), both over blocks of rows: the result is the build's
-    one N x N array.
+    sqrt(N)), and every entry is checked against the dispersive bound
+    sqrt(|b|/N), both over blocks of rows: the result is the build's one
+    N x N array.
 
-    Even N is outside the regime of the spectral statements verified here
-    and is rejected unless allow_even is set.
+    N must be odd, the regime of the spectral statements verified here;
+    even N is rejected before anything is allocated.
     """
     if N < 1:
         raise ValueError("dimension must be positive, got %d" % N)
     require_quantizable(A)
     if A.b == 0:
         raise ValueError("kernel formula requires b != 0")
-    if N % 2 == 0 and not allow_even:
-        raise ValueError("even N=%d rejected (pass allow_even to explore)" % N)
+    if N % 2 == 0:
+        raise ValueError("expected odd N, got %d" % N)
 
     a, b, d = A.a, A.b, A.d
     absb = abs(b)
@@ -154,9 +154,8 @@ def build_propagator(A: CatMatrix, N: int, allow_even: bool = False) -> Propagat
         entry_max.append(np.abs(matrix[rows]).max())
     residual = float(np.max(gram_max))  # np.max keeps a NaN, Python's max may not
     certify("propagator build", N, "unitarity residual", residual, UNITARITY_TOL * np.sqrt(N))
-    if N % 2 == 1:
-        bound = np.sqrt(absb / N) + 1e-9
-        certify("propagator build", N, "entry modulus", float(np.max(entry_max)), bound)
+    bound = np.sqrt(absb / N) + 1e-9
+    certify("propagator build", N, "entry modulus", float(np.max(entry_max)), bound)
     return Propagator(N=N, A=A, entries=matrix, unitarity_residual=residual)
 
 

@@ -187,12 +187,12 @@ def blocked_bits_differ(case: tuple[tuple[int, int, int, int], int]) -> list[str
     return [name for name, (fast, oracle) in pairs.items() if _bits(fast) != _bits(oracle)]
 
 
-def snapped_spectrum(case: tuple[tuple[int, int, int, int], int, bool]):
-    """experiments.clustered_spectrum's (record, report) at one (map, N,
-    allow_even), plus the largest snap distance cluster_eigenvalues
-    certified. Module level, so process_map workers can run it; it
-    patches spectral.certify in its own process."""
-    entries, N, allow_even = case
+def snapped_spectrum(case: tuple[tuple[int, int, int, int], int]):
+    """experiments.clustered_spectrum's (record, report) at one (map, N),
+    plus the largest snap distance cluster_eigenvalues certified. Module
+    level, so process_map workers can run it; it patches spectral.certify
+    in its own process."""
+    entries, N = case
     snaps = []
 
     def recording(stage, dim, check, value, bound):
@@ -202,7 +202,7 @@ def snapped_spectrum(case: tuple[tuple[int, int, int, int], int, bool]):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "certify", recording)
-        record, report = experiments.clustered_spectrum(CatMatrix(*entries), N, allow_even)
+        record, report = experiments.clustered_spectrum(CatMatrix(*entries), N)
     return record, report, snaps[-1]
 
 
@@ -400,20 +400,20 @@ def failing_zgees(monkeypatch):
 _real_scan_single = experiments._scan_single
 
 
-def _scan_single_strict_unitarity(A, blank, allow_even):
+def _scan_single_strict_unitarity(A, blank):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quantize, "UNITARITY_TOL", 1e-30)
-        return _real_scan_single(A, blank, allow_even)
+        return _real_scan_single(A, blank)
 
 
 def _broken_stage(*args, **kwargs):
     raise TypeError("bug in a stage")
 
 
-def _scan_single_broken_stage(A, blank, allow_even):
+def _scan_single_broken_stage(A, blank):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "build_propagator", _broken_stage)
-        return _real_scan_single(A, blank, allow_even)
+        return _real_scan_single(A, blank)
 
 
 @pytest.fixture

@@ -140,13 +140,10 @@ class TestPropagator:
         assert (code, out, built) == (2, "", [])
         assert err == "catlab: usage error: binary output requires --out\n"
 
-    def test_even_needs_flag(self, capsys):
-        code, _, err = run(capsys, "propagator", "--n", "4")
-        assert code == 1
-        assert "even" in err
-        code, out, _ = run(capsys, "propagator", "--n", "4", "--allow-even-n")
-        assert code == 0
-        assert len(out.splitlines()) == 4
+    @pytest.mark.parametrize("command", ["propagator", "spectrum", "profile", "dispersive"])
+    def test_even_rejected(self, capsys, command):
+        code, out, err = run(capsys, command, "--n", "4")
+        assert (code, out, err) == (1, "", "catlab: expected odd N, got 4\n")
 
 
 class TestSpectrum:
@@ -409,31 +406,27 @@ class TestVerifyCommand:
 
     # explicit ids keep each case's name stable as the list of flags changes
     @pytest.mark.parametrize(
-        "flag,named",
+        "flag",
         [
-            pytest.param(["--jobs", "2"], "--jobs", id="flag0"),
-            pytest.param(
-                ["--jobs", "2", "--allow-even-n"], "--allow-even-n, --jobs", id="flag1"
-            ),
-            pytest.param(["--allow-even-n"], "--allow-even-n", id="flag3"),
+            pytest.param(["--jobs", "2"], id="flag0"),
+            # given on the command line, even at its default
+            pytest.param(["--jobs", "1"], id="default_jobs"),
         ],
     )
-    def test_records_reject_rescan_only_flags(self, capsys, tmp_path, flag, named):
-        # the flags are rejected before the records file is opened
+    def test_records_reject_rescan_only_flags(self, capsys, tmp_path, flag):
+        # the flag is rejected before the records file is opened
         missing = tmp_path / "scan.csv"
         code, out, err = run(capsys, "verify", "--records", str(missing), *flag)
-        assert code == 2
-        assert out == ""
+        assert (code, out) == (2, "")
         assert err == (
-            "catlab: usage error: --records replaces the rescan that %s would steer\n"
-            % named
+            "catlab: usage error: --records replaces the rescan that --jobs would steer\n"
         )
 
     def test_records_ignore_rescan_only_config_keys(self, capsys, tmp_path):
         csv_path = tmp_path / "scan.csv"
         run(capsys, "scan", "--n-min", "3", "--n-max", "7", "--out", str(csv_path))
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"jobs": 2, "allow_even_n": True, "n_min": 5}))
+        config.write_text(json.dumps({"jobs": 2, "n_min": 5}))
         code, out, _ = run(
             capsys, "verify", "--records", str(csv_path), "--config", str(config),
             "--format", "json",
@@ -464,14 +457,6 @@ class TestVerifyCommand:
             "warning: 3 record(s) failed (first: N=3: propagator build at N=3:"
         )
         assert rest == ["catlab: no usable records to verify"]
-
-    def test_allow_even_n_reaches_the_scan(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--n-min", "4", "--n-max", "8", "--allow-even-n",
-            "--format", "json",
-        )
-        assert code == 0
-        assert [c["N"] for c in json.loads(out)["upper"]] == [4, 5, 6, 7, 8]
 
     def test_map_outside_short_period_hypotheses(self, capsys):
         code, out, _ = run(
@@ -526,10 +511,6 @@ class TestConfigStack:
                 id="command2-data2-jobs",
             ),
             pytest.param(
-                ["propagator", "--n", "5"], {"allow_even_n": 1},
-                "allow_even_n must be bool, got 1", id="command3-data3-allow_even_n",
-            ),
-            pytest.param(
                 ["classify"], {"out": 5}, "out must be str | None, got 5",
                 id="command4-data4-out",
             ),
@@ -578,12 +559,14 @@ class TestConfigStack:
         assert code == 2
 
     def test_bad_tolerance(self, capsys, tmp_path):
-        # the certification bounds are constants, not config keys
+        # the certification bounds are constants, and N is always odd:
+        # neither has a config key
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"tol_unitarity": 1e-6}))
-        code, out, err = run(capsys, "scan", "--n-max", "7", "--config", str(config))
-        assert (code, out) == (2, "")
-        assert err == "catlab: usage error: unknown config keys: tol_unitarity\n"
+        for key, value in (("tol_unitarity", 1e-6), ("allow_even_n", True)):
+            config.write_text(json.dumps({key: value}))
+            code, out, err = run(capsys, "scan", "--n-max", "7", "--config", str(config))
+            assert (code, out) == (2, "")
+            assert err == "catlab: usage error: unknown config keys: %s\n" % key
 
     def test_bad_epsilon(self, capsys):
         code, _, err = run(capsys, "verify", "--n-min", "5", "--n-max", "5", "--epsilon", "2")
@@ -666,7 +649,7 @@ class TestFlagsPerCommand:
             (["spectrum", "--n", "5", "--svg", "{tmp}/x.svg"], "--svg"),
             (["dispersive", "--n", "5", "--jmax", "2", "--tol-cluster", "5"], "--tol-cluster"),
             (["dispersive", "--n", "5", "--jmax", "2", "--jobs", "4"], "--jobs"),
-            (["dispersive", "--n", "5", "--jmax", "2", "--allow-even-n"], "--allow-even-n"),
+            (["dispersive", "--n", "5", "--jmax", "2", "--records", "{tmp}/x.csv"], "--records"),
             # the certification bounds are constants, so no command takes these
             (["propagator", "--n", "5", "--tol-unitarity", "1e-6"], "--tol-unitarity"),
             (["spectrum", "--n", "5", "--tol-unitarity", "1e-6"], "--tol-unitarity"),

@@ -298,10 +298,9 @@ class TestScan:
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 1 + len(range(3, 66, 2))
 
-    def test_even_dimension_with_override(self):
-        records = scan_supnorms(A, 4, 4, allow_even=True)
-        assert records[0].error is None
-        assert records[0].n_N == quantum_period(A, 4).n_N
+    def test_walks_the_odd_n_in_range(self):
+        assert [r.N for r in scan_supnorms(A, 4, 8)] == [5, 7]
+        assert scan_supnorms(A, 4, 4) == []
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -374,19 +373,11 @@ class TestDispersive:
                 assert ((x + below) / 2) ** 2 < q < ((x + above) / 2) ** 2
 
     def test_rejects_even_or_empty(self):
-        with pytest.raises(ValueError):
-            dispersive_scan(A, 4, 5)
+        # the build rejects even N before it allocates anything
+        with pytest.raises(ValueError, match="^expected odd N, got 4$"):
+            dispersive_scan(A, 4, 40)
         with pytest.raises(ValueError):
             dispersive_scan(A, 5, 0)
-
-    def test_validates_every_n_before_building(self, monkeypatch):
-        # even N raises before any build
-        def unexpected_build(*args, **kwargs):
-            raise AssertionError("built a propagator before validating N")
-
-        monkeypatch.setattr(experiments, "build_propagator", unexpected_build)
-        with pytest.raises(ValueError, match="odd N, got 4"):
-            dispersive_scan(A, 4, 40)
 
     def test_drift_past_bound_ends_n_with_error_row(self, monkeypatch):
         # the first column's drift is exactly 0.0 at N=15, so only a

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catlab import quantize
-from catlab.arith import CatMatrix, CertificationError, matrix_power, quantum_period
+from catlab.arith import CatMatrix, CertificationError, matrix_power
 from catlab.quantize import (
     Propagator,
     build_propagator,
@@ -147,13 +147,10 @@ class TestBuildMatchesExpPerTerm:
             (CatMatrix(26, -45, -15, 26), 33),
             (HUGE_B1, 9),
             (HUGE_B3, 25),
-            (A, 2),
-            (A, 8),
-            (CatMatrix(26, -45, -15, 26), 10),
         ],
     )
     def test_bit_identical(self, matrix, N):
-        entries = build_propagator(matrix, N, allow_even=True).entries
+        entries = build_propagator(matrix, N).entries
         expected = exp_per_term_entries(matrix, N)
         assert np.array_equal(entries.view(np.float64), expected.view(np.float64))
 
@@ -184,20 +181,10 @@ class TestPropagator:
         assert abs(abs(power[0, 0]) - 1) < 1e-9
         assert np.abs(power - phase * np.eye(N)).max() < 1e-7
 
-    def test_even_dimension_needs_override(self):
-        with pytest.raises(ValueError, match="even"):
-            build_propagator(A, 2)
-        prop = build_propagator(A, 2, allow_even=True)
-        assert prop.unitarity_residual <= 1e-9 * math.sqrt(2)
-
-    def test_even_dimension_doubled_period(self):
-        # at N=8 the order mod 8 is 4 but the quantum period is 8
-        record = quantum_period(A, 8)
-        prop = build_propagator(A, 8, allow_even=True)
-        mid = np.linalg.matrix_power(prop.entries, record.T_N)
-        assert np.abs(mid - mid[0, 0] * np.eye(8)).max() > 1e-3
-        full = np.linalg.matrix_power(prop.entries, record.n_N)
-        assert np.abs(full - full[0, 0] * np.eye(8)).max() < 1e-9
+    @pytest.mark.parametrize("N", [2, 8])
+    def test_even_dimension_rejected(self, N):
+        with pytest.raises(ValueError, match="^expected odd N, got %d$" % N):
+            build_propagator(A, N)
 
     def test_rejects_unquantizable(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,13 @@ def test_readme_lists_the_flags_of_each_command():
     assert declared and listed == declared
 
 
+def test_flags_are_int_float_or_str():
+    # build_parser passes a flag's kind to argparse as its type, and
+    # type=bool would parse "false" as True
+    kinds = {dest: kind for dest, (kind, _, _) in cli.FLAGS.items()}
+    assert kinds and set(kinds.values()) <= {int, float, str}, kinds
+
+
 def test_certification_errors_raised_only_by_certify():
     # every certification check goes through arith.certify, so every
     # failure message has its one format; a subclass would be a second
