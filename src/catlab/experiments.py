@@ -26,7 +26,7 @@ from .arith import (
     short_period_moduli,
     write_table,
 )
-from .quantize import build_propagator, intertwining_defect
+from .quantize import build_propagator, matrix_free_propagator
 from .spectral import (
     SpectrumReport,
     cluster_eigenvalues,
@@ -186,9 +186,9 @@ def process_map(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[
 # Sweeps record failed certification checks and domain rejections
 # (ValueError, which covers LinAlgError) as error rows; bugs propagate.
 _ROW_ERRORS = (ValueError, CertificationError)
-# Certification bound in dispersive_scan on the squared norm drift
-# |||M^j e_0||^2 - 1| of each evolved column, and on the intertwining
-# defect of the propagator that makes one column stand for all of M^j.
+# Certification bound of each of dispersive_scan's four checks: the norm
+# drift and the gcd modulus of every evolved column, the closed-form
+# column 0 and the intertwining defect of the apply.
 DRIFT_TOL = 1e-7
 
 
@@ -278,38 +278,54 @@ def dispersive_scan(A: CatMatrix, N: int, j_max: int) -> list[DispersiveRecord]:
     M^j intertwines translations, M^j U_v = phase * U_(A^j v) M^j, and
     e_k = U_(k,0) e_0, so every column of M^j holds the moduli of column 0
     cyclically shifted: the largest entry of M^j is the largest entry of
-    x_j = M^j e_0. The column is evolved one matvec per power, x_j = M
-    x_(j-1), and its squared l2 norm is checked against 1 within
-    DRIFT_TOL at every power. The first power also certifies the
-    intertwining the shift argument rests on: quantize.intertwining_defect
-    of M within DRIFT_TOL. A failed check ends the records with an error
-    row. The comparison bound sqrt(|b_j|/N) comes from the exact integer
-    power A^j, a running product, keeping the two sides of the check
-    independent.
+    x_j = M^j e_0. The column is evolved by the matrix-free apply of
+    quantize.matrix_free_propagator, x_1 = M e_0 and x_j = M x_(j-1), so
+    a scan holds O(|b| N) numbers and no N x N array.
+
+    Checks, each within DRIFT_TOL; a failed one ends the records with an
+    error row:
+    - at every power, the squared l2 norm of x_j against 1;
+    - at every power, the largest entry of x_j against sqrt(gcd(b_j, N)/N),
+      gcd(0, N) = N. M^j is a phase times the propagator of A^j, whose
+      kernel entries are (N|b_j|)^(-1/2) times a unimodular factor times
+      a quadratic Gauss sum over r mod |b_j| of squared modulus 0 or
+      |b_j| gcd(b_j, N) (Berndt, Evans and Williams, Gauss and Jacobi
+      Sums, 1998), so every nonzero entry of M^j has that modulus;
+    - at the first power, x_1 against column 0 of the kernel in closed
+      form, and the apply's intertwining defect on a vector with no zero
+      entry (MatrixFreePropagator.intertwining_defect), which the shift
+      argument rests on.
+    The comparison bound sqrt(|b_j|/N) and the gcd come from the exact
+    integer power A^j, a running product, keeping the two sides of each
+    check independent.
     """
     require_quantizable(A)
     if j_max < 1:
         raise ValueError("j_max must be positive, got %d" % j_max)
-    prop = build_propagator(A, N)
-    column = prop.entries[:, 0].copy()
+    apply = matrix_free_propagator(A, N)
+    column = apply(np.eye(1, N, dtype=np.complex128)[0])
     power = A
     records: list[DispersiveRecord] = []
     for j in range(1, j_max + 1):
+        stage = "dispersive power M^%d" % j
         drift = abs(float(np.vdot(column, column).real) - 1.0)
+        norm = float(np.abs(column).max())
+        gap = abs(norm - math.sqrt(math.gcd(power.b, N) / N))
         try:
-            certify("dispersive power M^%d" % j, N, "column norm drift", drift, DRIFT_TOL)
+            certify(stage, N, "column norm drift", drift, DRIFT_TOL)
+            certify(stage, N, "|norm - sqrt(gcd(b_j, N)/N)|", gap, DRIFT_TOL)
             if j == 1:
-                defect = intertwining_defect(prop)
+                closed = float(np.abs(column - apply.kernel_column_0()).max())
+                certify("dispersive column", N, "closed-form column 0", closed, DRIFT_TOL)
+                defect = apply.intertwining_defect()
                 certify("dispersive column", N, "intertwining defect", defect, DRIFT_TOL)
         except CertificationError as exc:
             records.append(DispersiveRecord(N=N, j=j, norm_1_inf=None, bound=None, error=str(exc)))
             break
         bound = _dispersive_bound(abs(power.b), N) if power.b else None
-        records.append(
-            DispersiveRecord(N=N, j=j, norm_1_inf=float(np.abs(column).max()), bound=bound)
-        )
+        records.append(DispersiveRecord(N=N, j=j, norm_1_inf=norm, bound=bound))
         if j < j_max:
-            column = prop.entries @ column
+            column = apply(column)
             power = power @ A
     return records
 

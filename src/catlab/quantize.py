@@ -2,10 +2,12 @@
 
 The state space for inverse Planck constant 2*pi*N is identified with C^N
 through the delta-comb basis {e_j}. This module builds the propagator
-matrix of a hyperbolic torus map, and certifies the construction
-through unitarity, the entry bound sqrt(|b|/N), and the exact
-intertwining of lattice translations (the decisive oracle: it pins down
-both the kernel formula and the basis phase convention at once).
+matrix of a hyperbolic torus map, certified through unitarity and the
+entry bound sqrt(|b|/N), and applies the same propagator matrix-free,
+v -> M v in O(|b| N log N), with the certificates of that path: its
+column 0 against the kernel's closed form, and the exact intertwining
+of lattice translations (the decisive oracle: it pins down both the
+kernel formula and the basis phase convention at once).
 
 Phase bookkeeping is exact: every phase below is exp(2*pi*i * v/L) with
 integers v, L reduced mod L before any float conversion, so large
@@ -14,6 +16,7 @@ quadratic terms never cancel catastrophically.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import IO
@@ -24,8 +27,9 @@ from .arith import CatMatrix, _cell, certify, require_quantizable
 
 __all__ = [
     "Propagator",
+    "MatrixFreePropagator",
     "build_propagator",
-    "intertwining_defect",
+    "matrix_free_propagator",
     "write_matrix_csv",
     "write_matrix_binary",
 ]
@@ -53,10 +57,9 @@ class Propagator:
     unitarity_residual: float
 
 
-# Rows of the propagator per block of the kernel's r-sum and of the
-# intertwining defect. A block's index and term scratch (16 N entries
-# each) stays in cache across the r loop, and neither allocates an N x N
-# array besides the build's result.
+# Rows of the propagator per block of the kernel's r-sum. A block's index
+# and term scratch (16 N entries each) stays in cache across the r loop,
+# and allocates no N x N array besides the build's result.
 _KERNEL_ROWS = 16
 
 
@@ -73,6 +76,18 @@ def _phase_grid(numerators: np.ndarray, L: int) -> np.ndarray:
     """exp(2*pi*i * numerators/L) with the integer numerators reduced mod L."""
     reduced = np.mod(numerators, L)
     return np.exp((2j * np.pi / L) * reduced)
+
+
+def _require_kernel_domain(A: CatMatrix, N: int) -> None:
+    """The domain of the kernel formula, the one gate of both
+    constructors: N positive and odd, A quantizable with b != 0."""
+    if N < 1:
+        raise ValueError("dimension must be positive, got %d" % N)
+    require_quantizable(A)
+    if A.b == 0:
+        raise ValueError("kernel formula requires b != 0")
+    if N % 2 == 0:
+        raise ValueError("expected odd N, got %d" % N)
 
 
 def build_propagator(A: CatMatrix, N: int) -> Propagator:
@@ -100,14 +115,7 @@ def build_propagator(A: CatMatrix, N: int) -> Propagator:
     N must be odd, the regime of the spectral statements verified here;
     even N is rejected before anything is allocated.
     """
-    if N < 1:
-        raise ValueError("dimension must be positive, got %d" % N)
-    require_quantizable(A)
-    if A.b == 0:
-        raise ValueError("kernel formula requires b != 0")
-    if N % 2 == 0:
-        raise ValueError("expected odd N, got %d" % N)
-
+    _require_kernel_domain(A, N)
     a, b, d = A.a, A.b, A.d
     absb = abs(b)
     sign = 1 if b > 0 else -1
@@ -159,36 +167,131 @@ def build_propagator(A: CatMatrix, N: int) -> Propagator:
     return Propagator(N=N, A=A, entries=matrix, unitarity_residual=residual)
 
 
-def intertwining_defect(M: Propagator) -> float:
-    """Largest entry modulus of U_w M - M U_v, v = A^-1 w, over the
-    generators w in {(1, 0), (0, 1)}.
+# The phase numerators of the matrix-free apply multiply two residues
+# mod L = 2|b|N, so L^2 must stay in int64.
+_MAX_APPLY_MODULUS = math.isqrt(2**63 - 1)
 
-    U_(p,q) is the quantum translation by (p/N, q/N): it moves e_j to
-    e_((j+p) mod N) with phase exp(i*pi*(p*q + 2*q*j)/N). The map
-    intertwines translations exactly, U_w M = M U_(A^-1 w), so near
-    machine precision certifies the kernel formula and the translation
-    phase convention at once. U_w M is M with its rows moved and scaled,
-    M U_v is M with its columns moved and scaled, so the defect costs
-    O(N^2): it is taken over blocks of _KERNEL_ROWS rows, with no N x N
-    scratch array.
+
+@dataclass(frozen=True)
+class MatrixFreePropagator:
+    """The propagator of a torus map at dimension N as the apply v -> M v.
+
+    Write e(x) = exp(2*pi*i*x), chi_a(j) = e(a j^2/(2bN)) and
+    G(s) = sum over r < |b| of e((a N r^2/2 + r s)/b). The kernel's r-sum
+    depends on j and k only through s = (a j - k) mod |b|, so with
+    j = rho + |b| m,
+
+        (M v)_k = (N|b|)^(-1/2) chi_d(k) sum over rho < |b| of
+                  G((a rho - k) mod |b|) e(-k rho/(bN)) F_rho(k),
+
+    where F_rho is the length-N DFT, of the sign of b, of
+    (chi_a v)[rho::|b|] zero-padded to N. chirp holds chi_a, and
+    weights[rho, k] every factor of the sum but F_rho(k), for the
+    rho < min(|b|, N) whose slice is not empty. An apply costs that many
+    FFTs of length N, in one batched call, and holds O(|b| N) numbers.
     """
-    A, N, entries = M.A, M.N, M.entries
+
+    N: int
+    A: CatMatrix
+    chirp: np.ndarray
+    weights: np.ndarray
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        N, b = self.N, self.A.b
+        absb = abs(b)
+        m = -(-N // absb)  # the length of the longest slice
+        u = np.zeros(m * absb, dtype=np.complex128)
+        u[:N] = self.chirp * v
+        slices = u.reshape(m, absb).T[: len(self.weights)]
+        if b > 0:
+            spectra = np.fft.fft(slices, n=N, axis=1)
+        else:  # the unscaled DFT with e(+k m/N)
+            spectra = np.fft.ifft(slices, n=N, axis=1, norm="forward")
+        spectra *= self.weights
+        return spectra.sum(axis=0)
+
+    def kernel_column_0(self) -> np.ndarray:
+        """Column 0 of the kernel, K e_0 = (N|b|)^(-1/2) chi_d(k) G(-k mod |b|),
+        straight from the r-sum of build_propagator's formula at j = 0:
+        O(|b| N) phases, no FFT, and none of the apply's stored arrays."""
+        A, N = self.A, self.N
+        absb = abs(A.b)
+        sign = 1 if A.b > 0 else -1
+        L = 2 * absb * N
+        k = np.arange(N, dtype=np.int64)
+        base = ((A.d % L) * ((k * k) % L)) % L
+        column = np.zeros(N, dtype=np.complex128)
+        for r in range(absb):
+            numerators = base + (A.a * N * N * r * r) % L - ((2 * N * r) % L) * k
+            column += _phase_grid(sign * numerators, L)
+        return column / np.sqrt(N * absb)
+
+    def intertwining_defect(self) -> float:
+        """Largest modulus of U_w M x - M U_v x, v = A^-1 w, over the
+        generators w in {(1, 0), (0, 1)}, for the unit chirp
+        x_j = N^(-1/2) e(j^2/(2N)).
+
+        U_(p,q) is the quantum translation by (p/N, q/N): it moves e_j to
+        e_((j+p) mod N) with phase exp(i*pi*(p*q + 2*q*j)/N). The map
+        intertwines translations exactly, U_w M = M U_(A^-1 w), so near
+        machine precision certifies the kernel formula and the
+        translation phase convention at once. x has no zero entry, so
+        every stored phase of the apply enters the check. Three applies.
+        """
+        A, N = self.A, self.N
+        j = np.arange(N, dtype=np.int64)
+        x = _phase_grid((j * j) % (2 * N), 2 * N) / np.sqrt(N)
+        image = self(x)
+        worst = 0.0
+        for p, q in ((1, 0), (0, 1)):
+            v_p, v_q = A.d * p - A.b * q, -A.c * p + A.a * q
+            defect = _translate(image, p, q) - self(_translate(x, v_p, v_q))
+            worst = max(worst, float(np.abs(defect).max()))
+        return worst
+
+
+def _translate(y: np.ndarray, p: int, q: int) -> np.ndarray:
+    """U_(p,q) y: entry j moves to (j + p) mod N with phase
+    exp(i*pi*(p*q + 2*q*j)/N)."""
+    N = len(y)
     L = 2 * N
     j = np.arange(N, dtype=np.int64)
-    worst = 0.0
-    for p, q in ((1, 0), (0, 1)):
-        v_p, v_q = A.d * p - A.b * q, -A.c * p + A.a * q
-        # (U_w M)[k, l] = phase_w(k - p) M[k - p, l]
-        rows = (j - p) % N
-        row_phase = _phase_grid(p * q + 2 * q * rows, L)
-        # (M U_v)[k, l] = M[k, l + v_p] phase_v(l)
-        cols = (j + v_p % N) % N
-        col_phase = _phase_grid((v_p * v_q) % L + ((2 * v_q) % L) * j, L)
-        for block in _blocks(N, _KERNEL_ROWS):
-            left = entries[rows[block]] * row_phase[block, None]
-            right = entries[block][:, cols] * col_phase
-            worst = max(worst, float(np.abs(left - right).max()))
-    return worst
+    phase = _phase_grid((p * q) % L + ((2 * q) % L) * j, L)
+    return np.roll(phase * y, p % N)
+
+
+def matrix_free_propagator(A: CatMatrix, N: int) -> MatrixFreePropagator:
+    """The apply of the propagator build_propagator would build, with no
+    N x N array.
+
+    Every phase is exp(2*pi*i * v/L), L = 2|b|N, from integer numerators
+    v reduced mod L before each product, as in build_propagator; only
+    the O(|b| N) numerators the apply needs are evaluated, with no table
+    of the L roots. G takes |b|^2 phases, one r at a time. The domain is
+    build_propagator's, plus L^2 within int64 (L < 3.04e9; at N = 10^6,
+    |b| < 1518), so no product of two residues overflows.
+    """
+    _require_kernel_domain(A, N)
+    a, b, d = A.a, A.b, A.d
+    absb = abs(b)
+    sign = 1 if b > 0 else -1
+    L = 2 * absb * N
+    if L > _MAX_APPLY_MODULUS:
+        raise ValueError("2|b|N = %d is past the matrix-free apply's int64 phases" % L)
+
+    j = np.arange(N, dtype=np.int64)
+    square = (j * j) % L
+    chirp = _phase_grid(sign * (((a % L) * square) % L), L)
+    s = np.arange(absb, dtype=np.int64)
+    gauss = np.zeros(absb, dtype=np.complex128)
+    for r in range(absb):
+        gauss += _phase_grid(sign * ((a * N * N * r * r) % L + ((2 * N * r) % L) * s), L)
+    rho = np.arange(min(absb, N), dtype=np.int64)[:, None]
+    # chi_d(k) e(-k rho/(bN)), times G((a rho - k) mod |b|)
+    weights = _phase_grid(sign * (((d % L) * square) % L - 2 * rho * j), L)
+    weights *= gauss[((a % absb) * rho - j) % absb]
+    weights /= np.sqrt(N * absb)
+    return MatrixFreePropagator(N=N, A=A, chirp=chirp, weights=weights)
 
 
 def write_matrix_csv(matrix: np.ndarray, fh: IO[str]) -> None:

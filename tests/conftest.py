@@ -3,10 +3,11 @@ once per session and consumed by both the module-invariant test and the
 acceptance criterion. Also runners for `python -m catlab.cli` in a fresh
 interpreter, scan stages patched inside scan worker processes, and the
 dense oracles the library's fast paths are checked against: translation
-matrices, the Egorov defect, dense propagator powers, the dense scalar
-power M^n, phase-gap clustering, the table of distances to the roots of
-M^n, the averaging operator, and the full products and scipy Schur form
-that the blocked certificates and the direct zgees call replace."""
+matrices, the Egorov and the entrywise intertwining defects, dense
+propagator powers, the dense scalar power M^n, phase-gap clustering, the
+table of distances to the roots of M^n, the averaging operator, and the
+full products and scipy Schur form that the blocked certificates and the
+direct zgees call replace."""
 
 import dataclasses
 import math
@@ -48,7 +49,7 @@ def egorov_defect(M: Propagator) -> float:
 
     For the generators w in {(1/N, 0), (0, 1/N)} compares M^-1 U_w M with
     the translation by A^-1 w, which stays on the lattice: the dense
-    oracle for quantize.intertwining_defect.
+    oracle for intertwining_defect.
     """
     A, N = M.A, M.N
     Minv = M.entries.conj().T
@@ -58,6 +59,20 @@ def egorov_defect(M: Propagator) -> float:
         target = translation_matrix(A.d * p - A.b * q, -A.c * p + A.a * q, N)
         defect = float(np.linalg.norm(Minv @ U @ M.entries - target, 2))
         worst = max(worst, defect)
+    return worst
+
+
+def intertwining_defect(M: Propagator) -> float:
+    """Largest entry modulus of U_w M - M U_v, v = A^-1 w, over the
+    generators w in {(1, 0), (0, 1)}, from the dense translation matrices:
+    the entrywise oracle for the matrix-free apply's intertwining defect,
+    which takes the same difference on one vector."""
+    A, N = M.A, M.N
+    worst = 0.0
+    for (p, q) in ((1, 0), (0, 1)):
+        U = translation_matrix(p, q, N)
+        V = translation_matrix(A.d * p - A.b * q, -A.c * p + A.a * q, N)
+        worst = max(worst, float(np.abs(U @ M.entries - M.entries @ V).max()))
     return worst
 
 
@@ -366,17 +381,19 @@ def drifted_witness(monkeypatch):
 
 @pytest.fixture
 def perturbed_propagator(monkeypatch):
-    """experiments.build_propagator adds 1e-3 to entry (2, 3) of the
-    certified propagator: column 0 keeps its exact norm, and the
-    translation intertwining breaks by about 1e-3."""
+    """experiments.matrix_free_propagator turns the apply's phase
+    chi_a(N // 2) by 1e-3: column 0, the image of e_0, keeps its exact
+    entries, and the intertwining defect on the unit chirp grows to about
+    2e-3 * N^-1/2 * sqrt(gcd(b, N)/N), 2.3e-4 at N=15."""
+    real = quantize.matrix_free_propagator
 
     def perturbed(A, N):
-        prop = build_propagator(A, N)
-        entries = prop.entries.copy()
-        entries[2, 3] += 1e-3
-        return dataclasses.replace(prop, entries=entries)
+        apply = real(A, N)
+        chirp = apply.chirp.copy()
+        chirp[N // 2] *= np.exp(1e-3j)
+        return dataclasses.replace(apply, chirp=chirp)
 
-    monkeypatch.setattr(experiments, "build_propagator", perturbed)
+    monkeypatch.setattr(experiments, "matrix_free_propagator", perturbed)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 and the one certification check every stage goes through."""
 
 import ast
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -346,6 +347,32 @@ def _doubled_phases(patch):
     patch.setattr(quantize, "_phase_grid", lambda v, L: 2 * real(v, L))
 
 
+def _reweighted_column_0(scale):
+    """A patch: the apply's weights[0], the weights of slice rho = 0 and
+    so its image of e_0, multiplied by scale(weights[0])."""
+
+    def patch_apply(patch):
+        real = quantize.matrix_free_propagator
+
+        def reweighted(A, N):
+            apply = real(A, N)
+            weights = apply.weights.copy()
+            weights[0] *= scale(weights[0])
+            return dataclasses.replace(apply, weights=weights)
+
+        patch.setattr(experiments, "matrix_free_propagator", reweighted)
+
+    return patch_apply
+
+
+def _uneven(column):
+    # two nonzero entries scaled by sqrt(1.5) and sqrt(0.5): the norm
+    # stays 1, the largest modulus grows by 22%
+    scale = np.ones(len(column))
+    scale[np.flatnonzero(np.abs(column) > 1e-8)[:2]] = np.sqrt([1.5, 0.5])
+    return scale
+
+
 # (stage, check, patch, call returning the failure message) for every
 # certify call in the library, driven past its bound.
 CHECKS = [
@@ -425,6 +452,18 @@ CHECKS = [
         # The drift of the first column is exactly 0.0 at N=15.
         "dispersive power M^1", "column norm drift",
         lambda patch: patch.setattr(experiments, "DRIFT_TOL", -1.0),
+        lambda: experiments.dispersive_scan(A, 15, 3)[0].error,
+    ),
+    (
+        # column 0 keeps its norm, not its flat moduli sqrt(3/15)
+        "dispersive power M^1", "|norm - sqrt(gcd(b_j, N)/N)|",
+        _reweighted_column_0(_uneven),
+        lambda: experiments.dispersive_scan(A, 15, 3)[0].error,
+    ),
+    (
+        # column 0 turned by the phase 1e-3: moduli kept, off by 4.5e-4
+        "dispersive column", "closed-form column 0",
+        _reweighted_column_0(lambda column: np.exp(1e-3j)),
         lambda: experiments.dispersive_scan(A, 15, 3)[0].error,
     ),
     (

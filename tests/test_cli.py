@@ -145,6 +145,12 @@ class TestPropagator:
         code, out, err = run(capsys, command, "--n", "4")
         assert (code, out, err) == (1, "", "catlab: expected odd N, got 4\n")
 
+    @pytest.mark.parametrize("command", ["propagator", "dispersive"])
+    def test_zero_dimension_rejected(self, capsys, command):
+        # the dense build and the matrix-free apply share one domain gate
+        code, out, err = run(capsys, command, "--n", "0")
+        assert (code, out, err) == (1, "", "catlab: dimension must be positive, got 0\n")
+
 
 class TestSpectrum:
     def test_json_schema(self, capsys):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,7 +374,7 @@ class TestDispersive:
                 assert ((x + below) / 2) ** 2 < q < ((x + above) / 2) ** 2
 
     def test_rejects_even_or_empty(self):
-        # the build rejects even N before it allocates anything
+        # the apply's constructor rejects even N before it allocates anything
         with pytest.raises(ValueError, match="^expected odd N, got 4$"):
             dispersive_scan(A, 4, 40)
         with pytest.raises(ValueError):
@@ -401,7 +402,7 @@ class TestDispersive:
             (17, 1, None, None)
         ]
         assert re.fullmatch(
-            r"dispersive column at N=15: intertwining defect 0\.001\d* exceeds 1e-07",
+            r"dispersive column at N=15: intertwining defect 0\.00023\d* exceeds 1e-07",
             records[0].error,
         )
 
@@ -428,6 +429,38 @@ class TestDispersive:
             for r in records:
                 exact = math.sqrt(math.gcd(matrix_power(matrix, r.j).b, N) / N)
                 assert r.norm_1_inf == pytest.approx(exact, rel=1e-12)
+
+    def test_large_n_closed_form_column_and_gcd(self):
+        # N_10 of (2,3,1,2): the squares j^2 reach 5.1e11 and the
+        # products of two residues mod L = 2|b|N reach L^2 = 1.8e13; the
+        # records exist only if the closed-form column and the gcd
+        # certificate held
+        N = 716035
+        records = dispersive_scan(A, N, 2)
+        assert [(r.j, r.error) for r in records] == [(1, None), (2, None)]
+        for r in records:
+            exact = math.sqrt(math.gcd(matrix_power(A, r.j).b, N) / N)
+            assert r.norm_1_inf == pytest.approx(exact, rel=1e-12)
+
+    def test_peak_memory_is_a_sliver_of_one_dense_matrix(self):
+        N = 4001
+        tracemalloc.start()
+        try:
+            records = dispersive_scan(A, N, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.error is None for r in records)
+        assert peak < 0.01 * 16 * N * N
+
+    def test_runs_without_the_dense_build(self, monkeypatch):
+        def refused(A, N):
+            raise RuntimeError("dispersive_scan built a dense propagator")
+
+        monkeypatch.setattr(quantize, "build_propagator", refused)
+        monkeypatch.setattr(experiments, "build_propagator", refused)
+        records = dispersive_scan(A, 101, 12)
+        assert [(r.j, r.error) for r in records] == [(j, None) for j in range(1, 13)]
 
 
 class TestVerifyBounds:

@@ -9,6 +9,7 @@ entries freezes the phase convention itself.
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,11 @@ from catlab.arith import CatMatrix, CertificationError, matrix_power
 from catlab.quantize import (
     Propagator,
     build_propagator,
-    intertwining_defect,
+    matrix_free_propagator,
     write_matrix_csv,
     write_matrix_binary,
 )
-from conftest import egorov_defect, translation_matrix
+from conftest import egorov_defect, intertwining_defect, translation_matrix
 
 A = CatMatrix(2, 3, 1, 2)
 A2 = CatMatrix(2, 1, 3, 2)
@@ -254,6 +255,63 @@ class TestPropagator:
     def test_defect_at_figure_scale(self):
         prop = build_propagator(A, 989)
         assert egorov_defect(prop) <= 1e-8
+
+
+# Both orientations of b, |b| from 1 to 45, and |b| > N at small N.
+APPLY_MAPS = [
+    A,
+    CatMatrix(2, -3, -1, 2),
+    CatMatrix(8, 3, -11, -4),
+    CatMatrix(4, 3, 5, 4),
+    CatMatrix(26, 45, 15, 26),
+    CatMatrix(26, -45, -15, 26),
+    CatMatrix(2, 45, 3, 68),
+    A2,
+    HUGE_B3,
+]
+
+
+class TestMatrixFreePropagator:
+    @pytest.mark.parametrize("matrix", APPLY_MAPS)
+    @pytest.mark.parametrize("N", [1, 3, 9, 15, 101, 243])
+    def test_matches_dense_oracle(self, matrix, N):
+        entries = build_propagator(matrix, N).entries
+        apply = matrix_free_propagator(matrix, N)
+        rng = np.random.default_rng(N)
+        noise = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
+        for v in (*np.eye(2, N), *noise):
+            expected = entries @ v
+            assert np.abs(apply(v) - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(apply.kernel_column_0() - entries[:, 0]).max() <= 1e-13
+        assert apply.intertwining_defect() <= 1e-13
+
+    def test_intertwining_defect_sees_one_phase_error(self):
+        # a phase error in the chirp far from coordinate 0 leaves column 0
+        # as it was, and one in the weights moves columns past 0 as well
+        apply = matrix_free_propagator(A, 101)
+        chirp = apply.chirp.copy()
+        chirp[50] *= np.exp(1e-3j)
+        weights = apply.weights.copy()
+        weights[2, 60] *= np.exp(1e-3j)
+        for perturbed in (replace(apply, chirp=chirp), replace(apply, weights=weights)):
+            assert perturbed.intertwining_defect() > 1e-6
+        e_0 = np.eye(1, 101)[0]
+        assert np.array_equal(replace(apply, chirp=chirp)(e_0), apply(e_0))
+
+    def test_shares_the_dense_build_domain(self):
+        for construct in (build_propagator, matrix_free_propagator):
+            with pytest.raises(ValueError, match="^expected odd N, got 4$"):
+                construct(A, 4)
+            with pytest.raises(ValueError, match="^dimension must be positive, got 0$"):
+                construct(A, 0)
+            with pytest.raises(ValueError, match="is not quantizable"):
+                construct(CatMatrix(2, 1, 1, 1), 5)
+
+    def test_rejects_phases_past_int64(self):
+        # L = 2|b|N = 4e9: a product of two residues mod L would overflow
+        huge_b = CatMatrix(1, 2 * 10**9, 2, 4 * 10**9 + 1)
+        with pytest.raises(ValueError, match="^2\\|b\\|N = 4000000000 is past"):
+            matrix_free_propagator(huge_b, 1)
 
 
 class TestMatrixExport:
