@@ -128,15 +128,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _json_safe(value):
-    """value with every inf or nan float written as its CSV cell ("inf",
-    "-inf", "nan"): JSON has no token for them, and null already means an
-    absent value."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return arith._cell(value)
+    """value as plain JSON data: an object by its to_dict, and every inf or
+    nan float as its CSV cell ("inf", "-inf", "nan"): JSON has no token for
+    them, and null already means an absent value."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else arith._cell(value)
     if isinstance(value, dict):
         return {key: _json_safe(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(item) for item in value]
+    if hasattr(value, "to_dict"):
+        return _json_safe(value.to_dict())
     return value
 
 
@@ -160,11 +162,12 @@ def _write_text(cfg: argparse.Namespace, render: Callable[[IO[str]], None]) -> N
         os.close(devnull)
 
 
-def _emit(cfg: argparse.Namespace, payload, render: Callable[[IO[str]], None]) -> None:
-    """Write payload as JSON under --format json, else what render writes
-    (a CSV table, or classify's text report)."""
+def _emit(cfg: argparse.Namespace, result, render: Callable[[IO[str]], None]) -> None:
+    """The one text write path: under --format json the command's result
+    as JSON (objects converted by their to_dict only then), else what
+    render writes (a CSV table, or classify's text report)."""
     if cfg.format == "json":
-        _write_text(cfg, lambda fh: fh.write(_dump_json(payload)))
+        _write_text(cfg, lambda fh: fh.write(_dump_json(result)))
     else:
         _write_text(cfg, render)
 
@@ -197,7 +200,7 @@ def cmd_classify(cfg: argparse.Namespace) -> int:
         lines.append("failures: " + "; ".join(report.failure_reasons))
     if report.eligibility_failures:
         lines.append("eligibility failures: " + "; ".join(report.eligibility_failures))
-    _emit(cfg, report.to_dict(), lambda fh: fh.write("\n".join(lines) + "\n"))
+    _emit(cfg, report, lambda fh: fh.write("\n".join(lines) + "\n"))
     return 0 if report.is_quantizable else 1
 
 
@@ -228,33 +231,23 @@ def cmd_propagator(cfg: argparse.Namespace) -> int:
     if cfg.format == "binary":
         with open(cfg.out, "wb") as fh:
             quantize.write_matrix_binary(prop.entries, fh)
-    elif cfg.format == "json":
-        payload = {
-            "N": prop.N,
-            "unitarity_residual": prop.unitarity_residual,
-            "entries": [
-                [[float(v.real), float(v.imag)] for v in row] for row in prop.entries
-            ],
-        }
-        _write_text(cfg, lambda fh: fh.write(_dump_json(payload)))
     else:
-        _write_text(cfg, lambda fh: quantize.write_matrix_csv(prop.entries, fh))
+        _emit(cfg, prop, lambda fh: quantize.write_matrix_csv(prop.entries, fh))
     return 0
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
-    from . import experiments, spectral
+    from . import experiments
 
     n = _require_n(cfg)
     _, report = experiments.clustered_spectrum(_matrix(cfg), n)
-    payload = spectral.report_to_dict(report)
-    clusters = payload["clusters"]
-    cluster_of = {i: cid for cid, c in enumerate(clusters) for i in c["indices"]}
+    clusters = report.clusters
+    cluster_of = {i: cid for cid, c in enumerate(clusters) for i in c.indices}
     rows = (
-        (i, re, im, clusters[cluster_of[i]]["phase"], cluster_of[i], report.residuals[i])
-        for i, (re, im) in enumerate(payload["eigenvalues"])
+        (i, v.real, v.imag, clusters[cluster_of[i]].phase, cluster_of[i], report.residuals[i])
+        for i, v in enumerate(report.eigenvalues)
     )
-    _emit(cfg, payload, lambda fh: arith.write_table(SPECTRUM_FIELDS, rows, fh))
+    _emit(cfg, report, lambda fh: arith.write_table(SPECTRUM_FIELDS, rows, fh))
     return 0
 
 
@@ -281,8 +274,7 @@ def cmd_scan(cfg: argparse.Namespace) -> int:
     from . import experiments
 
     records = _scan(cfg)
-    payload = [r.to_dict() for r in records]
-    _emit(cfg, payload, lambda fh: experiments.write_scan_csv(records, fh))
+    _emit(cfg, records, lambda fh: experiments.write_scan_csv(records, fh))
     _write_svg(cfg, lambda fh: svg.render_scan_svg(records, fh))
     return 0
 
@@ -304,8 +296,7 @@ def cmd_dispersive(cfg: argparse.Namespace) -> int:
     n = _require_n(cfg)
     records = experiments.dispersive_scan(_matrix(cfg), n, cfg.jmax)
     _warn_errors(records)
-    payload = [r.to_dict() for r in records]
-    _emit(cfg, payload, lambda fh: experiments.write_dispersive_csv(records, fh))
+    _emit(cfg, records, lambda fh: experiments.write_dispersive_csv(records, fh))
     _write_svg(cfg, lambda fh: svg.render_dispersive_svg(records, fh))
     return 0
 

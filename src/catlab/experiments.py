@@ -83,8 +83,7 @@ class ScanRecord:
     cluster_dim: int | None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return _row_dict(self)
+    to_dict = _row_dict
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,8 @@ class DispersiveRecord:
     """Norm of one propagator power against its dispersive bound.
 
     bound is sqrt(|b_j|/N) where b_j is the upper-right entry of the j-th
-    map power; absent (None) when b_j = 0.
+    map power. Error rows carry the exception text in `error` and None in
+    norm_1_inf and bound.
     """
 
     N: int
@@ -101,8 +101,7 @@ class DispersiveRecord:
     bound: float | None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return _row_dict(self)
+    to_dict = _row_dict
 
 
 # CSV columns: every field but the error text.
@@ -222,8 +221,6 @@ def scan_supnorms(A: CatMatrix, n_min: int, n_max: int, jobs: int = 1) -> list[S
     N = 65, 165, 195 and 219 and witness_index at 40 N.
     """
     report = require_quantizable(A)
-    if A.b == 0:
-        raise ValueError("sup-norm scan requires b != 0")
     if report.lam is None:
         raise ValueError("envelope bounds require trace > 2")
     if n_min > n_max:
@@ -285,12 +282,12 @@ def dispersive_scan(A: CatMatrix, N: int, j_max: int) -> list[DispersiveRecord]:
     Checks, each within DRIFT_TOL; a failed one ends the records with an
     error row:
     - at every power, the squared l2 norm of x_j against 1;
-    - at every power, the largest entry of x_j against sqrt(gcd(b_j, N)/N),
-      gcd(0, N) = N. M^j is a phase times the propagator of A^j, whose
-      kernel entries are (N|b_j|)^(-1/2) times a unimodular factor times
-      a quadratic Gauss sum over r mod |b_j| of squared modulus 0 or
-      |b_j| gcd(b_j, N) (Berndt, Evans and Williams, Gauss and Jacobi
-      Sums, 1998), so every nonzero entry of M^j has that modulus;
+    - at every power, the largest entry of x_j against sqrt(gcd(b_j, N)/N).
+      M^j is a phase times the propagator of A^j, whose kernel entries are
+      (N|b_j|)^(-1/2) times a unimodular factor times a quadratic Gauss
+      sum over r mod |b_j| of squared modulus 0 or |b_j| gcd(b_j, N)
+      (Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998), so every
+      nonzero entry of M^j has that modulus;
     - at the first power, x_1 against column 0 of the kernel in closed
       form, and the apply's intertwining defect on a vector with no zero
       entry (MatrixFreePropagator.intertwining_defect), which the shift
@@ -322,7 +319,7 @@ def dispersive_scan(A: CatMatrix, N: int, j_max: int) -> list[DispersiveRecord]:
         except CertificationError as exc:
             records.append(DispersiveRecord(N=N, j=j, norm_1_inf=None, bound=None, error=str(exc)))
             break
-        bound = _dispersive_bound(abs(power.b), N) if power.b else None
+        bound = _dispersive_bound(abs(power.b), N)
         records.append(DispersiveRecord(N=N, j=j, norm_1_inf=norm, bound=bound))
         if j < j_max:
             column = apply(column)

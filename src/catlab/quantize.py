@@ -56,6 +56,12 @@ class Propagator:
     entries: np.ndarray
     unitarity_residual: float
 
+    def to_dict(self) -> dict:
+        """JSON-ready view: N, the unitarity residual and the entries as
+        rows of [re, im] pairs."""
+        entries = np.stack((self.entries.real, self.entries.imag), -1).tolist()
+        return {"N": self.N, "unitarity_residual": self.unitarity_residual, "entries": entries}
+
 
 # Rows of the propagator per block of the kernel's r-sum. A block's index
 # and term scratch (16 N entries each) stays in cache across the r loop,
@@ -80,12 +86,13 @@ def _phase_grid(numerators: np.ndarray, L: int) -> np.ndarray:
 
 def _require_kernel_domain(A: CatMatrix, N: int) -> None:
     """The domain of the kernel formula, the one gate of both
-    constructors: N positive and odd, A quantizable with b != 0."""
+    constructors: N positive and odd, A quantizable. That alone gives
+    b != 0, which the kernel divides by: with det A = 1, b = 0 forces
+    a = d = +-1 and |tr A| = 2. Powers keep it, b_j = p_j(tr A) b with
+    p_j != 0 for j >= 1, so no caller checks b."""
     if N < 1:
         raise ValueError("dimension must be positive, got %d" % N)
     require_quantizable(A)
-    if A.b == 0:
-        raise ValueError("kernel formula requires b != 0")
     if N % 2 == 0:
         raise ValueError("expected odd N, got %d" % N)
 

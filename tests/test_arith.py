@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import catlab
@@ -80,12 +80,25 @@ class TestValidate:
         assert report.lam is None
         assert not report.short_period_eligible
 
+    # det 1 is rare among random quadruples: the examples make sure both
+    # sides of b = 0 are drawn, the maps of the paper and det 1, trace +-2
     @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+    @example(2, 3, 1, 2)
+    @example(2, -3, -1, 2)
+    @example(-2, -3, -1, -2)
+    @example(8, 3, -11, -4)
+    @example(1, 0, 4, 1)
+    @example(-1, 0, 6, -1)
     def test_eligible_implies_quantizable(self, a, b, c, d):
         report = validate_catmap(a, b, c, d)
         assert not report.short_period_eligible or report.is_quantizable
         assert report.is_quantizable == (not report.failure_reasons)
         assert (report.lam is not None) == (report.trace > 2)
+        if report.is_quantizable:
+            # the kernel divides by b_j, and no caller checks it for zero
+            assert b != 0
+            A = CatMatrix(a, b, c, d)
+            assert all(matrix_power(A, j).b != 0 for j in range(1, 41))
 
 
 class TestPSequence:

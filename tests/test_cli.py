@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from catlab import experiments, quantize, spectral
+from catlab import arith, experiments, quantize, spectral
 from catlab.arith import CatMatrix, _cell
 from catlab.cli import main
 
@@ -139,6 +139,19 @@ class TestPropagator:
         code, out, err = run(capsys, "propagator", "--n", "5", "--format", "binary")
         assert (code, out, built) == (2, "", [])
         assert err == "catlab: usage error: binary output requires --out\n"
+
+    @pytest.mark.parametrize("matrix", [(2, 3, 1, 2), (2, -3, -1, 2)])
+    def test_json_matches_the_build_bit_for_bit(self, capsys, matrix):
+        flags = [arg for name, value in zip("abcd", matrix) for arg in ("-" + name, str(value))]
+        code, out, _ = run(capsys, "propagator", *flags, "--n", "15", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        prop = quantize.build_propagator(CatMatrix(*matrix), 15)
+        assert payload["N"] == 15
+        assert payload["unitarity_residual"] == prop.unitarity_residual
+        entries = np.array(payload["entries"])
+        expected = np.stack((prop.entries.real, prop.entries.imag), axis=-1)
+        assert np.array_equal(entries.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("command", ["propagator", "spectrum", "profile", "dispersive"])
     def test_even_rejected(self, capsys, command):
@@ -740,3 +753,30 @@ class TestTableFormat:
             "lower",
             "upper",
         ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["propagator", "--n", "5"],
+        ["spectrum", "--n", "5"],
+        ["scan", "--n-min", "3", "--n-max", "7"],
+        ["dispersive", "--n", "5", "--jmax", "3"],
+    ],
+)
+def test_json_views_built_only_under_json_format(capsys, monkeypatch, argv):
+    before = run(capsys, *argv)
+
+    def refuse(*args):
+        raise RuntimeError("JSON view built")
+
+    for owner in (
+        arith.AdmissibilityReport, experiments.ScanRecord, experiments.DispersiveRecord,
+        quantize.Propagator,
+    ):
+        monkeypatch.setattr(owner, "to_dict", refuse)
+    monkeypatch.setattr(spectral, "report_to_dict", refuse)
+    assert run(capsys, *argv) == before
+    with pytest.raises(RuntimeError, match="JSON view built"):
+        main([*argv, "--format", "json"])

@@ -119,9 +119,10 @@ class TestEigendecompose:
         with pytest.raises(CertificationError, match=match):
             eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_empty_matrix(self):
-        report = eigendecompose(np.zeros((0, 0)))
-        assert report.N == 0 and report.eigenvectors.shape == (0, 0)
+    def test_rejects_empty_matrix(self):
+        # every propagator has N >= 1
+        with pytest.raises(ValueError, match="^expected a non-empty square matrix$"):
+            eigendecompose(np.zeros((0, 0)))
 
     def test_rejects_non_finite_matrix(self):
         matrix = np.eye(3, dtype=np.complex128)

@@ -21,7 +21,7 @@ def _scan_row(N, value, is_bdb=False, error=None):
     return ScanRecord(N, 2 * N, value, lower, upper, N ** -0.5, is_bdb, 0, 1)
 
 
-# one N: b_j = 0 at j = 3 gives a None bound, and the inf bound at j = 5 is not drawn
+# one N: the None bound at j = 3 and the inf bound at j = 5 are not drawn
 DISPERSIVE = [
     DispersiveRecord(15, 1, 0.4472135954999579, 0.4472135954999579),
     DispersiveRecord(15, 2, 0.2581988897471611, 0.7745966692414834),
