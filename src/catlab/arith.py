@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import asdict, dataclass
 from math import gcd
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -85,14 +84,6 @@ class CatMatrix:
 IDENTITY = CatMatrix(1, 0, 0, 1)
 
 
-class ParityRule(str, Enum):
-    """Which branch of the quantum-period parity rule fired."""
-
-    ODD_N = "odd_N"
-    EVEN_N_BOTH_EVEN = "even_N_both_even"
-    EVEN_N_DOUBLED = "even_N_doubled"
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Classification of an integer quadruple as a quantizable torus map.
@@ -116,36 +107,21 @@ class AdmissibilityReport:
     eligibility_failures: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "is_quantizable": self.is_quantizable,
-            "short_period_eligible": self.short_period_eligible,
-            "trace": self.trace,
-            "lambda": self.lam,
-            "failure_reasons": list(self.failure_reasons),
-            "eligibility_failures": list(self.eligibility_failures),
-        }
+        return {"lambda" if key == "lam" else key: value for key, value in asdict(self).items()}
 
 
 @dataclass(frozen=True)
 class PeriodRecord:
-    """Order T_N of the map mod N and the quantum period n_N derived from it."""
+    """Order T_N of the map mod N and the quantum period n_N derived from it.
+
+    rule names the branch of the parity rule that fired: odd_N,
+    even_N_both_even or even_N_doubled.
+    """
 
     N: int
     T_N: int
     n_N: int
-    parity_rule_used: ParityRule
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "T_N": self.T_N,
-            "n_N": self.n_N,
-            "rule": self.parity_rule_used.value,
-        }
+    rule: str
 
 
 def validate_catmap(a: int, b: int, c: int, d: int) -> AdmissibilityReport:
@@ -284,16 +260,12 @@ def quantum_period(A: CatMatrix, N: int) -> PeriodRecord:
     power = matrix_power(A, T)
     certify("quantum period", N, "largest residue of A^T_N - I mod N", _residue(power, N), 0)
     if N % 2 == 1:
-        return PeriodRecord(N=N, T_N=T, n_N=T, parity_rule_used=ParityRule.ODD_N)
+        return PeriodRecord(N=N, T_N=T, n_N=T, rule="odd_N")
     b12 = power.b // N
     b21 = power.c // N
     if b12 % 2 == 0 and b21 % 2 == 0:
-        return PeriodRecord(
-            N=N, T_N=T, n_N=T, parity_rule_used=ParityRule.EVEN_N_BOTH_EVEN
-        )
-    return PeriodRecord(
-        N=N, T_N=T, n_N=2 * T, parity_rule_used=ParityRule.EVEN_N_DOUBLED
-    )
+        return PeriodRecord(N=N, T_N=T, n_N=T, rule="even_N_both_even")
+    return PeriodRecord(N=N, T_N=T, n_N=2 * T, rule="even_N_doubled")
 
 
 # short_period_moduli re-checks moduli up to this bound with quantum_period.

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, astuple, fields, is_dataclass
 from typing import IO, Callable
 
 from . import arith, svg
@@ -32,7 +33,6 @@ PROG = "catlab"
 # CSV columns of the tables built here; the experiments module owns the rest.
 SEQUENCE_FIELDS = ("k", "N_k", "t_k")
 SPECTRUM_FIELDS = ("index", "re", "im", "phase", "cluster", "residual")
-VERIFY_FIELDS = ("bound", "N", "value", "threshold", "ok")
 
 
 class UsageError(Exception):
@@ -128,9 +128,10 @@ def _load_config(path: str | None) -> dict:
 
 
 def _json_safe(value):
-    """value as plain JSON data: an object by its to_dict, and every inf or
-    nan float as its CSV cell ("inf", "-inf", "nan"): JSON has no token for
-    them, and null already means an absent value."""
+    """value as plain JSON data: an object by its to_dict, or if it has
+    none and is a dataclass by asdict, and every inf or nan float as its
+    CSV cell ("inf", "-inf", "nan"): JSON has no token for them, and null
+    already means an absent value."""
     if isinstance(value, float):
         return value if math.isfinite(value) else arith._cell(value)
     if isinstance(value, dict):
@@ -139,6 +140,8 @@ def _json_safe(value):
         return [_json_safe(item) for item in value]
     if hasattr(value, "to_dict"):
         return _json_safe(value.to_dict())
+    if is_dataclass(value):
+        return _json_safe(asdict(value))
     return value
 
 
@@ -164,7 +167,7 @@ def _write_text(cfg: argparse.Namespace, render: Callable[[IO[str]], None]) -> N
 
 def _emit(cfg: argparse.Namespace, result, render: Callable[[IO[str]], None]) -> None:
     """The one text write path: under --format json the command's result
-    as JSON (objects converted by their to_dict only then), else what
+    as JSON (objects converted by _json_safe only then), else what
     render writes (a CSV table, or classify's text report)."""
     if cfg.format == "json":
         _write_text(cfg, lambda fh: fh.write(_dump_json(result)))
@@ -206,20 +209,17 @@ def cmd_classify(cfg: argparse.Namespace) -> int:
 
 def cmd_sequence(cfg: argparse.Namespace) -> int:
     pairs = arith.short_period_sequence(_matrix(cfg), cfg.count)
-    payload = [
-        {"k": k, "N_k": modulus, "t_k": period}
-        for k, (modulus, period) in enumerate(pairs, start=1)
-    ]
-    rows = (row.values() for row in payload)
+    rows = [(k, *pair) for k, pair in enumerate(pairs, start=1)]
+    payload = [dict(zip(SEQUENCE_FIELDS, row)) for row in rows]
     _emit(cfg, payload, lambda fh: arith.write_table(SEQUENCE_FIELDS, rows, fh))
     return 0
 
 
 def cmd_period(cfg: argparse.Namespace) -> int:
     n = _require_n(cfg)
-    payload = arith.quantum_period(_matrix(cfg), n).to_dict()
-    rows = [payload.values()]
-    _emit(cfg, payload, lambda fh: arith.write_table(payload.keys(), rows, fh))
+    record = arith.quantum_period(_matrix(cfg), n)
+    header = [f.name for f in fields(record)]
+    _emit(cfg, record, lambda fh: arith.write_table(header, [astuple(record)], fh))
     return 0
 
 
@@ -284,7 +284,7 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
 
     n = _require_n(cfg)
     profile = experiments.eigenfunction_profile(_matrix(cfg), n)
-    payload = [{"i": i, "abs_u_i": float(v)} for i, v in enumerate(profile)]
+    payload = [dict(zip(experiments.PROFILE_FIELDS, row)) for row in enumerate(profile.tolist())]
     _emit(cfg, payload, lambda fh: experiments.write_profile_csv(profile, fh))
     _write_svg(cfg, lambda fh: svg.render_profile_svg(profile, fh))
     return 0
@@ -322,11 +322,12 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             ]
     else:
         records = _scan(cfg)
-    payload = experiments.verify_bounds(records, eps=cfg.epsilon).to_dict()
+    report = experiments.verify_bounds(records, eps=cfg.epsilon)
+    header = ("bound", *(f.name for f in fields(experiments.BoundCheck)))
     rows = (
-        (bound, *check.values()) for bound in ("lower", "upper") for check in payload[bound]
+        (bound, *astuple(check)) for bound in ("lower", "upper") for check in getattr(report, bound)
     )
-    _emit(cfg, payload, lambda fh: arith.write_table(VERIFY_FIELDS, rows, fh))
+    _emit(cfg, report, lambda fh: arith.write_table(header, rows, fh))
     return 0
 
 

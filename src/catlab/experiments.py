@@ -119,12 +119,14 @@ def _envelopes(N: int, lam: float) -> tuple[float, float, float]:
 
 
 def clustered_spectrum(A: CatMatrix, N: int) -> tuple[PeriodRecord, SpectrumReport]:
-    """The per-N pipeline: quantum period, certified propagator, certified
+    """The per-N pipeline: certified propagator, quantum period, certified
     eigensystem, clusters snapped to the n_N-th roots of the certified
-    scalar M^n_N (see cluster_eigenvalues).
+    scalar M^n_N (see cluster_eigenvalues). The build goes first because
+    it is the domain gate, so a bad N reads as every propagator path
+    reports it.
     """
-    record = quantum_period(A, N)
     prop = build_propagator(A, N)
+    record = quantum_period(A, N)
     report = cluster_eigenvalues(eigendecompose(prop), record.n_N)
     return record, report
 
@@ -356,9 +358,6 @@ class BoundsReport:
     lower: tuple[BoundCheck, ...]
     upper: tuple[BoundCheck, ...]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _onset(checks: Sequence[BoundCheck]) -> int | None:
     onset = None
@@ -431,11 +430,20 @@ def write_scan_csv(records: Iterable[ScanRecord], fh: IO[str]) -> None:
     write_table(SCAN_FIELDS, map(attrgetter(*SCAN_FIELDS), records), fh)
 
 
-_CSV_BOOLS = {"true": True, "false": False}
+# Parser of a scan CSV cell by the type of its ScanRecord field.
+_PARSERS = {"int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__}
+# (name, parser, nullable) of each scan CSV column; a nullable column, one
+# whose field type ends in "| None", reads an empty cell as None.
+_SCAN_COLUMNS = tuple(
+    (f.name, _PARSERS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
+    for f in fields(ScanRecord)
+    if f.name in SCAN_FIELDS
+)
 
 
 def read_scan_csv(fh: IO[str]) -> list[ScanRecord]:
-    """Parse scan CSV back into records (error rows come back as errors).
+    """Parse scan CSV back into records; a row with no max_supnorm comes
+    back as an error row.
 
     Raises ValueError naming the line on a malformed row, including an
     is_bdb cell other than true or false.
@@ -451,29 +459,20 @@ def read_scan_csv(fh: IO[str]) -> list[ScanRecord]:
         cells = line.split(",")
         if len(cells) != len(SCAN_FIELDS):
             raise ValueError("malformed scan CSV row at line %d: %r" % (lineno, line))
-        if cells[6] not in _CSV_BOOLS:
-            raise ValueError(
-                "scan CSV line %d: is_bdb must be true or false, got %r"
-                % (lineno, cells[6])
-            )
-        blank = cells[2] == ""
-        try:
-            records.append(
-                ScanRecord(
-                    N=int(cells[0]),
-                    n_N=None if cells[1] == "" else int(cells[1]),
-                    max_supnorm=None if blank else float(cells[2]),
-                    lower_env=float(cells[3]),
-                    upper_env=float(cells[4]),
-                    trivial_lb=float(cells[5]),
-                    is_bdb=_CSV_BOOLS[cells[6]],
-                    witness_index=None if cells[7] == "" else int(cells[7]),
-                    cluster_dim=None if cells[8] == "" else int(cells[8]),
-                    error="error row" if blank else None,
-                )
-            )
-        except ValueError as exc:
-            raise ValueError("malformed scan CSV row at line %d: %r" % (lineno, line)) from exc
+        row = {}
+        for (name, parse, nullable), cell in zip(_SCAN_COLUMNS, cells):
+            try:
+                row[name] = None if nullable and cell == "" else parse(cell)
+            except KeyError:
+                raise ValueError(
+                    "scan CSV line %d: %s must be true or false, got %r" % (lineno, name, cell)
+                ) from None
+            except ValueError as exc:
+                raise ValueError(
+                    "malformed scan CSV row at line %d: %r" % (lineno, line)
+                ) from exc
+        error = "error row" if row["max_supnorm"] is None else None
+        records.append(ScanRecord(**row, error=error))
     return records
 
 

@@ -191,11 +191,12 @@ def cluster_eigenvalues(report: SpectrumReport, n: int) -> SpectrumReport:
 
     # The root nearest phase theta is k = rint((n*theta - phi) / 2*pi)
     # mod n. An eigenvalue at circular distance d from it lies 2*pi/n - d
-    # from the second nearest, which must stay beyond 2*CLUSTER_TOL.
+    # from the second nearest, which must stay beyond 2*CLUSTER_TOL (at
+    # n = 1, itself 2*pi away: the bound is CLUSTER_TOL).
     nearest = np.mod(np.rint((n * phases - phi) / TWO_PI), n).astype(np.intp)
     dist = np.mod(roots[nearest] - phases, TWO_PI)
     snap = float(np.minimum(dist, TWO_PI - dist).max())
-    bound = CLUSTER_TOL if n == 1 else min(CLUSTER_TOL, TWO_PI / n - 2 * CLUSTER_TOL)
+    bound = min(CLUSTER_TOL, TWO_PI / n - 2 * CLUSTER_TOL)
     certify("clustering", report.N, "largest snap distance", snap, bound)
     # Phase-0 rule: a root within CLUSTER_TOL of phase 0 is reported as
     # exactly 0.0 and sorts first, whatever the sign of the rounding in

@@ -18,7 +18,6 @@ from catlab.arith import (
     IDENTITY,
     CatMatrix,
     CertificationError,
-    ParityRule,
     certify,
     matrix_order_mod,
     matrix_power,
@@ -247,7 +246,7 @@ class TestQuantumPeriod:
     def test_odd_cases(self):
         record = quantum_period(A, 989)
         assert (record.T_N, record.n_N) == (11, 11)
-        assert record.parity_rule_used is ParityRule.ODD_N
+        assert record.rule == "odd_N"
         record = quantum_period(A, 5)
         assert (record.T_N, record.n_N) == (3, 3)
 
@@ -255,7 +254,7 @@ class TestQuantumPeriod:
         # A^2 - I = 2*[[3, 6], [2, 3]]: both off-diagonal entries even
         record = quantum_period(A, 2)
         assert (record.T_N, record.n_N) == (2, 2)
-        assert record.parity_rule_used is ParityRule.EVEN_N_BOTH_EVEN
+        assert record.rule == "even_N_both_even"
         power = matrix_power(A, 2)
         assert (power.b // 2, power.c // 2) == (6, 2)
 
@@ -263,7 +262,7 @@ class TestQuantumPeriod:
         # A^4 - I = 8*[[12, 21], [7, 12]]: odd off-diagonals double the period
         record = quantum_period(A, 8)
         assert (record.T_N, record.n_N) == (4, 8)
-        assert record.parity_rule_used is ParityRule.EVEN_N_DOUBLED
+        assert record.rule == "even_N_doubled"
 
     def test_order_failure_raises(self, monkeypatch):
         # A^2 - I = [[6, 12], [4, 6]], which is not 0 mod 5

@@ -4,13 +4,16 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catlab import arith, experiments, quantize, spectral
+from catlab import arith, cli, experiments, quantize, spectral
 from catlab.arith import CatMatrix, _cell
 from catlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # Quantizable, but gcd(b, c) = 15 fails the short-period hypotheses.
@@ -158,9 +161,10 @@ class TestPropagator:
         code, out, err = run(capsys, command, "--n", "4")
         assert (code, out, err) == (1, "", "catlab: expected odd N, got 4\n")
 
-    @pytest.mark.parametrize("command", ["propagator", "dispersive"])
+    @pytest.mark.parametrize("command", ["propagator", "dispersive", "spectrum", "profile"])
     def test_zero_dimension_rejected(self, capsys, command):
-        # the dense build and the matrix-free apply share one domain gate
+        # the dense build and the matrix-free apply share one domain gate,
+        # which spectrum and profile reach before the period search
         code, out, err = run(capsys, command, "--n", "0")
         assert (code, out, err) == (1, "", "catlab: dimension must be positive, got 0\n")
 
@@ -763,6 +767,8 @@ class TestTableFormat:
         ["spectrum", "--n", "5"],
         ["scan", "--n-min", "3", "--n-max", "7"],
         ["dispersive", "--n", "5", "--jmax", "3"],
+        ["period", "--n", "9"],
+        ["verify", "--n-min", "3", "--n-max", "15"],
     ],
 )
 def test_json_views_built_only_under_json_format(capsys, monkeypatch, argv):
@@ -777,6 +783,24 @@ def test_json_views_built_only_under_json_format(capsys, monkeypatch, argv):
     ):
         monkeypatch.setattr(owner, "to_dict", refuse)
     monkeypatch.setattr(spectral, "report_to_dict", refuse)
+    monkeypatch.setattr(cli, "asdict", refuse)
     assert run(capsys, *argv) == before
     with pytest.raises(RuntimeError, match="JSON view built"):
         main([*argv, "--format", "json"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("classify", ["classify"]),
+        ("sequence", ["sequence", "--count", "5"]),
+        ("period-989", ["period", "--n", "989"]),
+        ("period-8", ["period", "--n", "8"]),
+        ("verify-3-61", ["verify", "--n-min", "3", "--n-max", "61"]),
+    ],
+)
+def test_output_bytes(capsys, name, argv, fmt):
+    # stdout byte for byte: key order, indentation and cell format
+    expected = (GOLDEN / ("%s.%s" % (name, fmt))).read_text(encoding="utf-8")
+    assert run(capsys, *argv, "--format", fmt) == (0, expected, "")

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from catlab import experiments, quantize
 from catlab.arith import (
@@ -517,7 +519,31 @@ class TestVerifyBounds:
         assert report.upper_onset is None
 
 
+# Scan rows as the CSV holds them: floats finite, +-inf or subnormal;
+# computed rows have every field set, error rows None in the computed ones.
+_FLOATS = st.floats(allow_nan=False)
+_INTS = st.integers(0, 2**64)
+_ENVELOPES = dict(lower_env=_FLOATS, upper_env=_FLOATS, trivial_lb=_FLOATS, is_bdb=st.booleans())
+COMPUTED_ROWS = st.builds(
+    ScanRecord, N=_INTS, n_N=_INTS, max_supnorm=_FLOATS, witness_index=_INTS,
+    cluster_dim=_INTS, **_ENVELOPES,
+)
+ERROR_ROWS = st.builds(
+    ScanRecord, N=_INTS, n_N=st.none(), max_supnorm=st.none(), witness_index=st.none(),
+    cluster_dim=st.none(), error=st.just("error row"), **_ENVELOPES,
+)
+
+
 class TestSerialization:
+    @given(st.lists(st.one_of(COMPUTED_ROWS, ERROR_ROWS), max_size=4))
+    # a computed row with n_N alone empty, infinite envelopes and a subnormal
+    @example([ScanRecord(7, None, 0.5, math.inf, -math.inf, 5e-324, True, 2**64, 1)])
+    def test_read_inverts_write(self, records):
+        fh = io.StringIO()
+        write_scan_csv(records, fh)
+        fh.seek(0)
+        assert read_scan_csv(fh) == records
+
     def test_scan_csv_header_and_rows(self, records_3_31):
         fh = io.StringIO()
         write_scan_csv(records_3_31, fh)
