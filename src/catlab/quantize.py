@@ -2,12 +2,12 @@
 
 The state space for inverse Planck constant 2*pi*N is identified with C^N
 through the delta-comb basis {e_j}. This module builds the propagator
-matrix of a hyperbolic torus map, certified through unitarity and the
-entry bound sqrt(|b|/N), and applies the same propagator matrix-free,
-v -> M v in O(|b| N log N), with the certificates of that path: its
-column 0 against the kernel's closed form, and the exact intertwining
-of lattice translations (the decisive oracle: it pins down both the
-kernel formula and the basis phase convention at once).
+of a hyperbolic torus map, one kernel r-sum per phase class, certified
+through unitarity and the entry bound sqrt(|b|/N), and applies it
+matrix-free, v -> M v in O(|b| N log N), with the certificates of that
+path: its column 0 against the kernel's closed form, and the exact
+intertwining of lattice translations (the decisive oracle: it pins down
+both the kernel formula and the basis phase convention at once).
 
 Phase bookkeeping is exact: every phase below is exp(2*pi*i * v/L) with
 integers v, L reduced mod L before any float conversion, so large
@@ -63,9 +63,9 @@ class Propagator:
         return {"N": self.N, "unitarity_residual": self.unitarity_residual, "entries": entries}
 
 
-# Rows of the propagator per block of the kernel's r-sum. A block's index
-# and term scratch (16 N entries each) stays in cache across the r loop,
-# and allocates no N x N array besides the build's result.
+# Rows of the propagator per block of its fill from the class sums. A
+# block's integer keys (16 N entries) stay in cache through the gather,
+# and the fill allocates no N x N array besides the build's result.
 _KERNEL_ROWS = 16
 
 
@@ -104,15 +104,23 @@ def build_propagator(A: CatMatrix, N: int) -> Propagator:
     exp((2*pi*i/b) * (a*N*r^2/2 + a*r*j + a*j^2/(2N) + d*k^2/(2N) - k*r - k*j/N)),
     evaluated with the rational phase reduced mod 1 in exact integers.
     With L = 2|b|N every term is exp(2*pi*i * v/L) for an integer v in
-    [0, L), so the terms are looked up in one table of the L roots of
-    unity, made once by the same elementwise expression (_phase_grid) that
-    would evaluate each term directly. The integer v is exact whatever
-    order its parts are reduced in, so each term is the same double as a
-    direct exp, added in the same r order: the entries are bit-identical
-    to the per-term evaluation, at one table gather and one add per term
-    instead of a complex exp. The sum runs over blocks of _KERNEL_ROWS
-    rows, so the integer phases and gathered terms never fill an N x N
-    scratch array.
+    [0, L), looked up in one table of the L roots of unity, made once by
+    the same elementwise expression (_phase_grid) that would evaluate
+    each term directly. The term of step r is
+
+        v = base + sign(b) * (a N^2 r^2 + 2 N r s) mod L,
+        base = sign(b) * (a j^2 - 2 j k + d k^2) mod L,  s = (a j - k) mod |b|,
+
+    so the r-sum of entry (k, j) depends only on its phase class
+    (base, s). Since ad - bc = 1, base = rho(s) = sign(b) d s^2 mod |b|,
+    and key = base - rho(s) + s labels the classes one to one in [0, L).
+    The build sums each class once, into L complex numbers as the roots
+    take, and fills entries[k, j] = sums[key] / sqrt(N|b|) over blocks of
+    _KERNEL_ROWS rows. The bits are those of the per-term evaluation: v
+    is the same exact integer, so each term is the same double as a
+    direct exp, added in the same r order from zero. The sums cost
+    2|b|^2 N table gathers and the fill N^2, where a sum per entry costs
+    |b| N^2: fewer once N exceeds about 2|b|.
 
     The result is certified unitary (max-norm residual <= UNITARITY_TOL *
     sqrt(N)), and every entry is checked against the dispersive bound
@@ -128,35 +136,35 @@ def build_propagator(A: CatMatrix, N: int) -> Propagator:
     sign = 1 if b > 0 else -1
     L = 2 * absb * N
 
-    j = np.arange(N, dtype=np.int64)
     # Reduce coefficients mod L first so every int64 product below stays
     # far from overflow even for large map entries.
     aL = a % L
     dL = d % L
-    jline = (aL * j * j) % L
     table = _phase_grid(np.arange(L), L)
-    # The numerator's per-r parts that depend on j alone and on k alone,
-    # each reduced mod L.
-    jparts = [
-        np.mod(sign * ((a * N * N * r * r) % L + ((2 * a * N * r) % L) * j), L)
-        for r in range(absb)
-    ]
-    kparts = [np.mod(-sign * ((2 * N * r) % L) * j, L) for r in range(absb)]
-    matrix = np.zeros((N, N), dtype=np.complex128)
+    # Class key |b| m + s has base |b| m + rho(s), so its term of step r
+    # sits at |b| m + offset(s) mod L, which take's wrap mode reduces.
+    s = np.arange(absb, dtype=np.int64)
+    rho = (sign * (d % absb) * s * s) % absb
+    stride = absb * np.arange(2 * N, dtype=np.int64)[:, None]
+    sums = np.zeros((2 * N, absb), dtype=np.complex128)
+    term = np.empty_like(sums)
+    for r in range(absb):
+        offset = np.mod(rho + sign * ((aL * N * N * r * r) % L + ((2 * N * r) % L) * s), L)
+        np.take(table, stride + offset, out=term, mode="wrap")
+        sums += term
+    del table, term  # freed before the N x N result is allocated
+
+    j = np.arange(N, dtype=np.int64)
+    jline = (aL * j * j) % L
+    # key - base = s - rho(s), by k mod |b| (rows) and j (columns)
+    shift = (s - rho)[((a % absb) * j - s[:, None]) % absb]
+    matrix = np.empty((N, N), dtype=np.complex128)
     for block in _blocks(N, _KERNEL_ROWS):
         k = j[block, None]
-        # The r-independent part, reduced mod L: with the two per-r parts
-        # the numerator lies in [0, 3L), which take's wrap mode maps onto
-        # the table without a mod over the block.
-        base = np.mod(sign * (jline + (dL * k * k) % L - 2 * k * j), L)
-        index = np.empty_like(base)
-        term = np.empty(base.shape, dtype=np.complex128)
-        rows = matrix[block]
-        for jpart, kpart in zip(jparts, kparts):
-            np.add(base, jpart, out=index)
-            index += kpart[block, None]
-            np.take(table, index, out=term, mode="wrap")
-            rows += term
+        key = np.mod(sign * (jline + (dL * k * k) % L - 2 * k * j), L)
+        key += shift[j[block] % absb]
+        np.take(sums, key, out=matrix[block])
+    del sums, shift  # the certificates below need neither
     matrix /= np.sqrt(N * absb)
 
     # the Hermitian M^H M - I, block rows of its upper block triangle
@@ -304,8 +312,8 @@ def matrix_free_propagator(A: CatMatrix, N: int) -> MatrixFreePropagator:
 def write_matrix_csv(matrix: np.ndarray, fh: IO[str]) -> None:
     """Dump a complex matrix as CSV rows of interleaved re,im pairs."""
     for row in np.asarray(matrix):
-        fh.write(",".join(_cell(float(part)) for v in row for part in (v.real, v.imag)))
-        fh.write("\n")
+        parts = np.ascontiguousarray(row, dtype=np.complex128).view(np.float64)
+        fh.write(",".join(map(_cell, parts.tolist())) + "\n")
 
 
 def write_matrix_binary(matrix: np.ndarray, fh: IO[bytes]) -> None:

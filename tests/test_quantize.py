@@ -9,15 +9,16 @@ entries freezes the phase convention itself.
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catlab import quantize
-from catlab.arith import CatMatrix, CertificationError, matrix_power
+from catlab.arith import CatMatrix, CertificationError, _cell, matrix_power, validate_catmap
 from catlab.quantize import (
     Propagator,
     build_propagator,
@@ -102,8 +103,9 @@ class TestTranslations:
 def exp_per_term_entries(M: CatMatrix, N: int) -> np.ndarray:
     """The kernel's r-sum with one complex exp per entry per r.
 
-    The direct evaluation build_propagator's root-of-unity table replaces;
-    kept as the oracle its entries must match bit for bit.
+    The direct evaluation that build_propagator's root-of-unity table and
+    class sums replace; kept as the oracle its entries must match bit for
+    bit.
     """
     a, b, d = M.a, M.b, M.d
     absb = abs(b)
@@ -130,6 +132,24 @@ def exp_per_term_entries(M: CatMatrix, N: int) -> np.ndarray:
 # must reduce them mod L before any array arithmetic.
 HUGE_B1 = CatMatrix(2 * 10**30 + 6, 1, (2 * 10**30 + 6) * 10**20 - 1, 10**20)
 HUGE_B3 = CatMatrix(10**30, -3, (1 - 10**30 * 4 * 10**20) // 3, 4 * 10**20)
+# The |b| = 45 maps of the propagator export benchmark.
+B45_MAPS = (
+    CatMatrix(26, 45, 15, 26),
+    CatMatrix(26, -45, -15, 26),
+    CatMatrix(2, 45, 3, 68),
+    CatMatrix(4, 45, 3, 34),
+)
+
+
+@st.composite
+def quantizable_maps(draw) -> CatMatrix:
+    """Quantizable maps with 0 < |b| <= 60, of either sign of b."""
+    b = draw(st.integers(-60, 60).filter(bool))
+    a = draw(st.sampled_from([a for a in range(-60, 61) if math.gcd(a, b) == 1]))
+    d = pow(a, -1, abs(b)) + abs(b) * draw(st.integers(-2, 2))
+    c = (a * d - 1) // b
+    assume(validate_catmap(a, b, c, d).is_quantizable)
+    return CatMatrix(a, b, c, d)
 
 
 class TestBuildMatchesExpPerTerm:
@@ -148,12 +168,40 @@ class TestBuildMatchesExpPerTerm:
             (CatMatrix(26, -45, -15, 26), 33),
             (HUGE_B1, 9),
             (HUGE_B3, 25),
+            # N below |b|, and N sharing the factors 3, 5 and 9 with |b|
+            *((matrix, N) for matrix in B45_MAPS for N in (3, 43, 135, 225)),
         ],
     )
     def test_bit_identical(self, matrix, N):
         entries = build_propagator(matrix, N).entries
         expected = exp_per_term_entries(matrix, N)
         assert np.array_equal(entries.view(np.float64), expected.view(np.float64))
+
+    @given(quantizable_maps(), st.integers(0, 30).map(lambda n: 2 * n + 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_on_small_maps(self, matrix, N):
+        # the class key rests on ad - bc = 1: both signs of b, |b| <= 60, odd N <= 61
+        entries = build_propagator(matrix, N).entries
+        expected = exp_per_term_entries(matrix, N)
+        assert np.array_equal(entries.view(np.float64), expected.view(np.float64))
+
+
+def test_build_peak_memory():
+    # The result is the build's one N x N array. Beyond it the build holds
+    # the class sums (L complex) and the fill's keys over blocks of
+    # _KERNEL_ROWS rows, then the certificates' scratch over blocks of 128
+    # rows (three block arrays): a second N x N array would not fit.
+    matrix, N = B45_MAPS[0], 401
+    L = 2 * abs(matrix.b) * N
+    build_propagator(matrix, 9)
+    tracemalloc.start()
+    try:
+        build_propagator(matrix, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    allowance = 16 * L + 16 * (3 * 128 + 4 * quantize._KERNEL_ROWS) * N
+    assert peak <= 16 * N * N + allowance
 
 
 class TestPropagator:
@@ -321,6 +369,21 @@ class TestMatrixExport:
         lines = fh.getvalue().splitlines()
         assert lines[0] == "1.0,2.0,0.0,3.0"
         assert lines[1] == "0.5,0.0,-1.0,0.0"
+
+    def test_csv_matches_per_entry_cells(self):
+        # the cells as two numpy scalars per entry made them
+        matrix = build_propagator(A, 5).entries.copy()
+        matrix[0, 1] = complex(-0.0, 5e-324)
+        matrix[2, 3] = complex(2.5e-310, -0.0)
+        matrix[4, 4] = complex(-np.inf, np.nan)
+        for m in (matrix, matrix.T, matrix.real, matrix.astype(np.complex64)):
+            fh = io.StringIO()
+            write_matrix_csv(m, fh)
+            expected = "".join(
+                ",".join(_cell(float(part)) for v in row for part in (v.real, v.imag)) + "\n"
+                for row in m
+            )
+            assert fh.getvalue() == expected
 
     def test_binary_round_trip(self):
         prop = build_propagator(A, 5)
