@@ -1,11 +1,11 @@
 """Command-line surface tying the modules into a reproducible toolchain.
 
 Each flag is declared once, as a row of FLAGS, and each command once, as
-a row of COMMANDS; the parser and the config merge are built from them.
-Every command reads the same configuration stack (command-line flags
-override config-file values override defaults), writes CSV/JSON to a
-file or stdout, and emits optional SVG plots. Identical configuration
-yields byte-identical output.
+a row of COMMANDS; the config merge reads them, and the parser is built
+from them once per process. Every command reads the same configuration
+stack (command-line flags override config-file values override
+defaults), writes CSV/JSON to a file or stdout, and emits optional SVG
+plots. Identical configuration yields byte-identical output.
 
 Exit codes: 0 success, 1 domain rejection, 2 usage error, 3 I/O error,
 4 certification failure (a quantum-period, short-period modulus,
@@ -16,6 +16,7 @@ exceeded its bound).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -359,11 +360,13 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per row of COMMANDS, each with only the flags it reads.
 
-    A config file may still set any key of FLAGS; commands ignore the keys
-    they do not read.
+    Built once per process and shared by every later call: callers must
+    not add arguments to it. A config file may still set any key of
+    FLAGS; commands ignore the keys they do not read.
     """
     parser = argparse.ArgumentParser(
         prog=PROG,

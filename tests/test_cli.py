@@ -1,5 +1,6 @@
 """Command-line surface tests: commands, formats, config stack, exit codes."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -804,3 +805,65 @@ def test_output_bytes(capsys, name, argv, fmt):
     # stdout byte for byte: key order, indentation and cell format
     expected = (GOLDEN / ("%s.%s" % (name, fmt))).read_text(encoding="utf-8")
     assert run(capsys, *argv, "--format", fmt) == (0, expected, "")
+
+
+class TestParserReuse:
+    """main builds the argparse tree once per process and reuses it."""
+
+    def test_later_calls_construct_no_parser(self, capsys, monkeypatch):
+        assert run(capsys, "classify")[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "sequence", "--count", "2")[0] == 0
+        assert run(capsys, "period", "--n", "9")[0] == 0
+        assert built == []
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_rejections_leave_later_outputs_as_a_fresh_process_writes_them(
+        self, capsys, tmp_path, monkeypatch, run_cli_module
+    ):
+        # usage lines wrap at the terminal width, which a process with
+        # stderr on a pipe reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        bogus, binary = ["dispersive", "--bogus"], ["scan", "--format", "binary"]
+        with pytest.raises(SystemExit) as err:
+            main(bogus)
+        seen = [(err.value.code, capsys.readouterr().err)]
+        seen.append((main(binary), capsys.readouterr().err))
+        fresh = [run_cli_module(*argv) for argv in (bogus, binary)]
+        assert seen == [(done.returncode, done.stderr) for done in fresh]
+        assert [code for code, _ in seen] == [2, 2]
+        assert "unrecognized arguments: --bogus" in seen[0][1]
+        assert "usage error: format binary applies only to propagator" in seen[1][1]
+        calls = [
+            (["dispersive", "--n", "101", "--jmax", "10"], ("out",)),
+            (["profile", "--n", "31"], ("out", "svg")),
+            (["spectrum", "--n", "31", "--format", "json"], ("out",)),
+            (["propagator", "--n", "31", "--format", "binary"], ("out",)),
+        ]
+        for argv, roles in calls:
+            mine, theirs = (
+                {role: tmp_path / ("%s-%s.%s" % (argv[0], here, role)) for role in roles}
+                for here in ("in-process", "fresh")
+            )
+            assert run(capsys, *argv, *_output_flags(mine)) == (0, "", "")
+            done = run_cli_module(*argv, *_output_flags(theirs))
+            assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+            for role in roles:
+                assert mine[role].read_bytes() == theirs[role].read_bytes() != b"", argv
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        usage = capsys.readouterr().out
+        assert all(name in usage and text in usage for name, text, _, _ in cli.COMMANDS)
+
+
+def _output_flags(paths):
+    """--out/--svg flags for {role: path}."""
+    return [arg for role, path in paths.items() for arg in ("--" + role, str(path))]
