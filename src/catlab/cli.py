@@ -22,8 +22,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, fields, is_dataclass
-from typing import IO, Callable
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
+from typing import IO, Callable, Iterable
 
 from . import arith, svg
 
@@ -146,6 +146,18 @@ def _json_safe(value):
     return value
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """A table's JSON view, one object per row keyed by the header, built
+    by _json_safe only under --format json. rows is iterated once."""
+
+    header: tuple[str, ...]
+    rows: Iterable
+
+    def to_dict(self) -> list[dict]:
+        return [dict(zip(self.header, row)) for row in self.rows]
+
+
 def _dump_json(payload) -> str:
     return json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n"
 
@@ -211,7 +223,7 @@ def cmd_classify(cfg: argparse.Namespace) -> int:
 def cmd_sequence(cfg: argparse.Namespace) -> int:
     pairs = arith.short_period_sequence(_matrix(cfg), cfg.count)
     rows = [(k, *pair) for k, pair in enumerate(pairs, start=1)]
-    payload = [dict(zip(SEQUENCE_FIELDS, row)) for row in rows]
+    payload = _Rows(SEQUENCE_FIELDS, rows)
     _emit(cfg, payload, lambda fh: arith.write_table(SEQUENCE_FIELDS, rows, fh))
     return 0
 
@@ -285,7 +297,7 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
 
     n = _require_n(cfg)
     profile = experiments.eigenfunction_profile(_matrix(cfg), n)
-    payload = [dict(zip(experiments.PROFILE_FIELDS, row)) for row in enumerate(profile.tolist())]
+    payload = _Rows(experiments.PROFILE_FIELDS, enumerate(profile))
     _emit(cfg, payload, lambda fh: experiments.write_profile_csv(profile, fh))
     _write_svg(cfg, lambda fh: svg.render_profile_svg(profile, fh))
     return 0

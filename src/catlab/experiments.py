@@ -26,7 +26,7 @@ from .arith import (
     short_period_moduli,
     write_table,
 )
-from .quantize import build_propagator, matrix_free_propagator
+from .quantize import build_propagator, entry_modulus, matrix_free_propagator
 from .spectral import (
     SpectrumReport,
     cluster_eigenvalues,
@@ -284,12 +284,9 @@ def dispersive_scan(A: CatMatrix, N: int, j_max: int) -> list[DispersiveRecord]:
     Checks, each within DRIFT_TOL; a failed one ends the records with an
     error row:
     - at every power, the squared l2 norm of x_j against 1;
-    - at every power, the largest entry of x_j against sqrt(gcd(b_j, N)/N).
-      M^j is a phase times the propagator of A^j, whose kernel entries are
-      (N|b_j|)^(-1/2) times a unimodular factor times a quadratic Gauss
-      sum over r mod |b_j| of squared modulus 0 or |b_j| gcd(b_j, N)
-      (Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998), so every
-      nonzero entry of M^j has that modulus;
+    - at every power, the largest entry of x_j against sqrt(gcd(b_j, N)/N):
+      M^j is a phase times the propagator of A^j, so that is the modulus
+      of its every nonzero entry (quantize.entry_modulus);
     - at the first power, x_1 against column 0 of the kernel in closed
       form, and the apply's intertwining defect on a vector with no zero
       entry (MatrixFreePropagator.intertwining_defect), which the shift
@@ -309,7 +306,7 @@ def dispersive_scan(A: CatMatrix, N: int, j_max: int) -> list[DispersiveRecord]:
         stage = "dispersive power M^%d" % j
         drift = abs(float(np.vdot(column, column).real) - 1.0)
         norm = float(np.abs(column).max())
-        gap = abs(norm - math.sqrt(math.gcd(power.b, N) / N))
+        gap = abs(norm - entry_modulus(power.b, N))
         try:
             certify(stage, N, "column norm drift", drift, DRIFT_TOL)
             certify(stage, N, "|norm - sqrt(gcd(b_j, N)/N)|", gap, DRIFT_TOL)
@@ -370,6 +367,10 @@ def _onset(checks: Sequence[BoundCheck]) -> int | None:
     return onset
 
 
+def _rate(checks: Sequence[BoundCheck]) -> float | None:
+    return sum(1 for c in checks if c.ok) / len(checks) if checks else None
+
+
 def verify_bounds(records: Iterable[ScanRecord], eps: float = 0.1) -> BoundsReport:
     """Evaluate both sup-norm envelope inequalities on scan records.
 
@@ -385,34 +386,14 @@ def verify_bounds(records: Iterable[ScanRecord], eps: float = 0.1) -> BoundsRepo
     lower = []
     upper = []
     for row in rows:
+        value = row.max_supnorm
         if row.is_bdb:
             threshold = (1.0 - eps) * row.lower_env
-            lower.append(
-                BoundCheck(
-                    N=row.N,
-                    value=row.max_supnorm,
-                    threshold=threshold,
-                    ok=row.max_supnorm >= threshold,
-                )
-            )
+            lower.append(BoundCheck(row.N, value, threshold, value >= threshold))
         if math.isfinite(row.upper_env):
             threshold = row.upper_env / math.sqrt(1.0 - eps)
-            upper.append(
-                BoundCheck(
-                    N=row.N,
-                    value=row.max_supnorm,
-                    threshold=threshold,
-                    ok=row.max_supnorm <= threshold,
-                )
-            )
+            upper.append(BoundCheck(row.N, value, threshold, value <= threshold))
     half = len(upper) // 2
-    first = upper[:half]
-    second = upper[half:]
-
-    def _rate(checks: Sequence[BoundCheck]) -> float | None:
-        if not checks:
-            return None
-        return sum(1 for c in checks if c.ok) / len(checks)
 
     return BoundsReport(
         eps=eps,
@@ -421,8 +402,8 @@ def verify_bounds(records: Iterable[ScanRecord], eps: float = 0.1) -> BoundsRepo
         lower_onset=_onset(lower),
         upper_onset=_onset(upper),
         lower_testable=bool(lower),
-        upper_first_half_pass=_rate(first),
-        upper_second_half_pass=_rate(second),
+        upper_first_half_pass=_rate(upper[:half]),
+        upper_second_half_pass=_rate(upper[half:]),
     )
 
 

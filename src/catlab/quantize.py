@@ -3,7 +3,7 @@
 The state space for inverse Planck constant 2*pi*N is identified with C^N
 through the delta-comb basis {e_j}. This module builds the propagator
 of a hyperbolic torus map, one kernel r-sum per phase class, certified
-through unitarity and the entry bound sqrt(|b|/N), and applies it
+through unitarity and the entry law sqrt(gcd(b, N)/N), and applies it
 matrix-free, v -> M v in O(|b| N log N), with the certificates of that
 path: its column 0 against the kernel's closed form, and the exact
 intertwining of lattice translations (the decisive oracle: it pins down
@@ -84,17 +84,36 @@ def _phase_grid(numerators: np.ndarray, L: int) -> np.ndarray:
     return np.exp((2j * np.pi / L) * reduced)
 
 
-def _require_kernel_domain(A: CatMatrix, N: int) -> None:
+# L^2 in int64: no product of two residues mod L = 2|b|N overflows.
+_MAX_MODULUS = math.isqrt(2**63 - 1)
+
+
+def _require_kernel_domain(A: CatMatrix, N: int) -> tuple[int, int, int]:
     """The domain of the kernel formula, the one gate of both
-    constructors: N positive and odd, A quantizable. That alone gives
-    b != 0, which the kernel divides by: with det A = 1, b = 0 forces
-    a = d = +-1 and |tr A| = 2. Powers keep it, b_j = p_j(tr A) b with
-    p_j != 0 for j >= 1, so no caller checks b."""
+    constructors: N positive and odd, A quantizable, and L = 2|b|N at
+    most _MAX_MODULUS (L < 3.04e9). Quantizable gives b != 0, which the
+    kernel divides by: b = 0 and det A = 1 force |tr A| = 2, and powers
+    keep b_j = p_j(tr A) b != 0, so no caller checks b. Returns the
+    kernel's integers (|b|, sign of b, L)."""
     if N < 1:
         raise ValueError("dimension must be positive, got %d" % N)
     require_quantizable(A)
     if N % 2 == 0:
         raise ValueError("expected odd N, got %d" % N)
+    absb = abs(A.b)
+    L = 2 * absb * N
+    if L > _MAX_MODULUS:
+        raise ValueError("2|b|N = %d is past the kernel's int64 bound %d" % (L, _MAX_MODULUS))
+    return absb, (1 if A.b > 0 else -1), L
+
+
+def entry_modulus(b: int, N: int) -> float:
+    """sqrt(gcd(b, N)/N), the modulus of every nonzero entry of the
+    propagator at dimension N of a map with upper-right entry b: (N|b|)^(-1/2)
+    times a unimodular factor times a quadratic Gauss sum of squared
+    modulus 0 or |b| gcd(b, N) (Berndt, Evans and Williams, Gauss and
+    Jacobi Sums, 1998)."""
+    return math.sqrt(math.gcd(b, N) / N)
 
 
 def build_propagator(A: CatMatrix, N: int) -> Propagator:
@@ -123,28 +142,26 @@ def build_propagator(A: CatMatrix, N: int) -> Propagator:
     |b| N^2: fewer once N exceeds about 2|b|.
 
     The result is certified unitary (max-norm residual <= UNITARITY_TOL *
-    sqrt(N)), and every entry is checked against the dispersive bound
-    sqrt(|b|/N), both over blocks of rows: the result is the build's one
-    N x N array.
+    sqrt(N)), and every entry is checked against the entry law
+    entry_modulus(b, N), both over blocks of rows: the result is the
+    build's one N x N array.
 
     N must be odd, the regime of the spectral statements verified here;
-    even N is rejected before anything is allocated.
+    even N, and L past _MAX_MODULUS, are rejected before anything is
+    allocated.
     """
-    _require_kernel_domain(A, N)
-    a, b, d = A.a, A.b, A.d
-    absb = abs(b)
-    sign = 1 if b > 0 else -1
-    L = 2 * absb * N
+    absb, sign, L = _require_kernel_domain(A, N)
+    a, d = A.a, A.d
 
-    # Reduce coefficients mod L first so every int64 product below stays
-    # far from overflow even for large map entries.
+    # Every int64 product below is of two numbers below L, so the
+    # domain's bound on L keeps it from overflow.
     aL = a % L
     dL = d % L
     table = _phase_grid(np.arange(L), L)
     # Class key |b| m + s has base |b| m + rho(s), so its term of step r
     # sits at |b| m + offset(s) mod L, which take's wrap mode reduces.
     s = np.arange(absb, dtype=np.int64)
-    rho = (sign * (d % absb) * s * s) % absb
+    rho = (sign * (d % absb) * ((s * s) % absb)) % absb
     stride = absb * np.arange(2 * N, dtype=np.int64)[:, None]
     sums = np.zeros((2 * N, absb), dtype=np.complex128)
     term = np.empty_like(sums)
@@ -155,13 +172,13 @@ def build_propagator(A: CatMatrix, N: int) -> Propagator:
     del table, term  # freed before the N x N result is allocated
 
     j = np.arange(N, dtype=np.int64)
-    jline = (aL * j * j) % L
+    jline = (aL * ((j * j) % L)) % L
     # key - base = s - rho(s), by k mod |b| (rows) and j (columns)
     shift = (s - rho)[((a % absb) * j - s[:, None]) % absb]
     matrix = np.empty((N, N), dtype=np.complex128)
     for block in _blocks(N, _KERNEL_ROWS):
         k = j[block, None]
-        key = np.mod(sign * (jline + (dL * k * k) % L - 2 * k * j), L)
+        key = np.mod(sign * (jline + (dL * ((k * k) % L)) % L - 2 * k * j), L)
         key += shift[j[block] % absb]
         np.take(sums, key, out=matrix[block])
     del sums, shift  # the certificates below need neither
@@ -177,14 +194,9 @@ def build_propagator(A: CatMatrix, N: int) -> Propagator:
         entry_max.append(np.abs(matrix[rows]).max())
     residual = float(np.max(gram_max))  # np.max keeps a NaN, Python's max may not
     certify("propagator build", N, "unitarity residual", residual, UNITARITY_TOL * np.sqrt(N))
-    bound = np.sqrt(absb / N) + 1e-9
+    bound = entry_modulus(absb, N) + 1e-9
     certify("propagator build", N, "entry modulus", float(np.max(entry_max)), bound)
     return Propagator(N=N, A=A, entries=matrix, unitarity_residual=residual)
-
-
-# The phase numerators of the matrix-free apply multiply two residues
-# mod L = 2|b|N, so L^2 must stay in int64.
-_MAX_APPLY_MODULUS = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -230,9 +242,7 @@ class MatrixFreePropagator:
         straight from the r-sum of build_propagator's formula at j = 0:
         O(|b| N) phases, no FFT, and none of the apply's stored arrays."""
         A, N = self.A, self.N
-        absb = abs(A.b)
-        sign = 1 if A.b > 0 else -1
-        L = 2 * absb * N
+        absb, sign, L = _require_kernel_domain(A, N)
         k = np.arange(N, dtype=np.int64)
         base = ((A.d % L) * ((k * k) % L)) % L
         column = np.zeros(N, dtype=np.complex128)
@@ -283,16 +293,10 @@ def matrix_free_propagator(A: CatMatrix, N: int) -> MatrixFreePropagator:
     v reduced mod L before each product, as in build_propagator; only
     the O(|b| N) numerators the apply needs are evaluated, with no table
     of the L roots. G takes |b|^2 phases, one r at a time. The domain is
-    build_propagator's, plus L^2 within int64 (L < 3.04e9; at N = 10^6,
-    |b| < 1518), so no product of two residues overflows.
+    build_propagator's (_require_kernel_domain).
     """
-    _require_kernel_domain(A, N)
-    a, b, d = A.a, A.b, A.d
-    absb = abs(b)
-    sign = 1 if b > 0 else -1
-    L = 2 * absb * N
-    if L > _MAX_APPLY_MODULUS:
-        raise ValueError("2|b|N = %d is past the matrix-free apply's int64 phases" % L)
+    absb, sign, L = _require_kernel_domain(A, N)
+    a, d = A.a, A.d
 
     j = np.arange(N, dtype=np.int64)
     square = (j * j) % L

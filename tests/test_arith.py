@@ -359,6 +359,14 @@ def _doubled_phases(patch):
     patch.setattr(quantize, "_phase_grid", lambda v, L: 2 * real(v, L))
 
 
+def _scaled_phases(patch):
+    # entries 1.5 sqrt(1/7) = 0.567 at N=7 with gcd(3, 7) = 1: past the
+    # entry law sqrt(1/7), within sqrt(|b|/N) = sqrt(3/7) = 0.655
+    real = quantize._phase_grid
+    patch.setattr(quantize, "UNITARITY_TOL", 1.0)
+    patch.setattr(quantize, "_phase_grid", lambda v, L: 1.5 * real(v, L))
+
+
 def _reweighted_column_0(scale):
     """A patch: the apply's weights[0], the weights of slice rho = 0 and
     so its image of e_0, multiplied by scale(weights[0])."""
@@ -425,6 +433,11 @@ CHECKS = [
         lambda: _raised(lambda: quantize.build_propagator(A, 15)),
     ),
     (
+        "propagator build", "entry modulus",
+        _scaled_phases,
+        lambda: _raised(lambda: quantize.build_propagator(A, 7)),
+    ),
+    (
         "eigensolve", "eigenpair residual",
         lambda patch: patch.setattr(spectral, "RESIDUAL_TOL", -1.0),
         lambda: _raised(lambda: experiments.clustered_spectrum(A, 5)),
@@ -486,10 +499,17 @@ CHECKS = [
 ]
 
 
+_CHECK_IDS = [re.sub(r"\W+", "_", "%s %s" % case[:2]).strip("_") for case in CHECKS]
+
+
 @pytest.mark.parametrize(
     "stage, check, patch, fail",
     CHECKS,
-    ids=[re.sub(r"\W+", "_", "%s %s" % case[:2]).strip("_") for case in CHECKS],
+    # the second case of a check is numbered, the first keeps its bare id
+    ids=[
+        name + "_%d" % _CHECK_IDS[:i].count(name) if name in _CHECK_IDS[:i] else name
+        for i, name in enumerate(_CHECK_IDS)
+    ],
 )
 def test_every_check_names_stage_n_check_value_and_bound(
     request, monkeypatch, stage, check, patch, fail
@@ -509,4 +529,4 @@ def test_every_certify_call_has_a_failure_case():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "certify"
     ]
-    assert len(calls) == len(CHECKS)
+    assert len(calls) == len({case[:2] for case in CHECKS})

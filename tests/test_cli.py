@@ -162,6 +162,16 @@ class TestPropagator:
         code, out, err = run(capsys, command, "--n", "4")
         assert (code, out, err) == (1, "", "catlab: expected odd N, got 4\n")
 
+    @pytest.mark.parametrize("command", ["propagator", "spectrum", "profile"])
+    def test_phases_past_int64_rejected(self, capsys, command):
+        # 2|b|N = 4e9 at N = 1: refused by the domain gate, not by numpy
+        # failing to allocate the build's table of the L roots
+        argv = ("-a", "1", "-b", "2000000000", "-c", "2", "-d", "4000000001", "--n", "1")
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (1, "")
+        message = r"catlab: 2\|b\|N = 4000000000 is past the kernel's int64 bound \d+\n"
+        assert re.fullmatch(message, err)
+
     @pytest.mark.parametrize("command", ["propagator", "dispersive", "spectrum", "profile"])
     def test_zero_dimension_rejected(self, capsys, command):
         # the dense build and the matrix-free apply share one domain gate,
@@ -770,6 +780,8 @@ class TestTableFormat:
         ["dispersive", "--n", "5", "--jmax", "3"],
         ["period", "--n", "9"],
         ["verify", "--n-min", "3", "--n-max", "15"],
+        ["profile", "--n", "71"],
+        ["sequence"],
     ],
 )
 def test_json_views_built_only_under_json_format(capsys, monkeypatch, argv):
@@ -780,7 +792,7 @@ def test_json_views_built_only_under_json_format(capsys, monkeypatch, argv):
 
     for owner in (
         arith.AdmissibilityReport, experiments.ScanRecord, experiments.DispersiveRecord,
-        quantize.Propagator,
+        quantize.Propagator, cli._Rows,
     ):
         monkeypatch.setattr(owner, "to_dict", refuse)
     monkeypatch.setattr(spectral, "report_to_dict", refuse)

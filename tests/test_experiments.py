@@ -305,6 +305,16 @@ class TestScan:
         assert [r.N for r in scan_supnorms(A, 4, 8)] == [5, 7]
         assert scan_supnorms(A, 4, 4) == []
 
+    def test_phases_past_int64_are_error_rows(self):
+        # L = 2|b|N is past the kernel's int64 bound at N = 1 and 3, so the
+        # build refuses both before it allocates its table of the L roots
+        records = scan_supnorms(CatMatrix(1, 2 * 10**9, 2, 4 * 10**9 + 1), 1, 3)
+        bound = "is past the kernel's int64 bound %d" % quantize._MAX_MODULUS
+        assert [(r.N, r.error) for r in records] == [
+            (1, "2|b|N = 4000000000 " + bound),
+            (3, "2|b|N = 12000000000 " + bound),
+        ]
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             scan_supnorms(A, 9, 3)

@@ -356,10 +356,12 @@ class TestMatrixFreePropagator:
                 construct(CatMatrix(2, 1, 1, 1), 5)
 
     def test_rejects_phases_past_int64(self):
-        # L = 2|b|N = 4e9: a product of two residues mod L would overflow
+        # L = 2|b|N = 4e9: a product of two residues mod L would overflow,
+        # and the build's table of the L roots would take 64 GB
         huge_b = CatMatrix(1, 2 * 10**9, 2, 4 * 10**9 + 1)
-        with pytest.raises(ValueError, match="^2\\|b\\|N = 4000000000 is past"):
-            matrix_free_propagator(huge_b, 1)
+        for construct in (build_propagator, matrix_free_propagator):
+            with pytest.raises(ValueError, match="^2\\|b\\|N = 4000000000 is past"):
+                construct(huge_b, 1)
 
 
 class TestMatrixExport:
